@@ -11,7 +11,7 @@
 //             Options: --cores a,b,c (required), --flp/--density |
 //             --alpha, --csv
 //   sweep     Run Algorithm 1 once per STCL value in a range, fanned
-//             across a thread pool that shares the model's cached
+//             across threads that share the model's cached
 //             factorizations (src/sweep).
 //             Options: --stcl-min, --stcl-max, --step, --threads,
 //             --flp/--density | --alpha, --tl, --stc-scale, --csv
@@ -23,7 +23,7 @@
 //             thread count, schedule policy, and dedup setting.
 //             Schema: docs/SERVE.md.
 //             Options: --in PATH|-, --out PATH|-, --threads,
-//             --schedule-policy fifo|ljf|edf|priority|srpt,
+//             --schedule-policy fifo|ljf,
 //             --dedup on|off, --calibrate on|off,
 //             --summary-json PATH, --cache-dir PATH (persistent
 //             disk-backed result cache — docs/PERSIST.md),
@@ -61,7 +61,7 @@
 #include "core/thermal_scheduler.hpp"
 #include "dispatch/calibrator.hpp"
 #include "dispatch/disk_result_memo.hpp"
-#include "dispatch/work_queue.hpp"
+#include "dispatch/engine.hpp"
 #include "persist/blob_file.hpp"
 #include "persist/segment_store.hpp"
 #include "floorplan/flp_io.hpp"
@@ -147,7 +147,7 @@ dispatch::SchedulePolicy parse_schedule_policy(const std::string& name) {
   if (!policy) {
     throw InvalidArgument(
         "unknown schedule policy '" + name +
-        "' (expected 'fifo', 'ljf', 'edf', 'priority', or 'srpt')");
+        "' (expected 'fifo' or 'ljf')");
   }
   return *policy;
 }
@@ -238,7 +238,7 @@ void print_global_usage(std::ostream& out) {
          "            [--stc-scale X] [--solver-backend B] [--csv]\n"
          "  simulate  Simulate one test session through the RC oracle\n"
          "            --cores a,b,c [--flp PATH --density D | --alpha] [--csv]\n"
-         "  sweep     Algorithm 1 once per STCL value, across a thread pool\n"
+         "  sweep     Algorithm 1 once per STCL value, across worker threads\n"
          "            [--stcl-min S] [--stcl-max S] [--step S] [--threads N]\n"
          "            [--flp PATH --density D | --alpha] [--tl C]\n"
          "            [--stc-scale X] [--solver-backend B] [--csv]\n"
@@ -246,7 +246,7 @@ void print_global_usage(std::ostream& out) {
          "            (schema: docs/SERVE.md; byte-deterministic for any\n"
          "            thread count, policy, and dedup setting)\n"
          "            [--in PATH|-] [--out PATH|-] [--threads N]\n"
-         "            [--schedule-policy fifo|ljf|edf|priority|srpt]\n"
+         "            [--schedule-policy fifo|ljf]\n"
          "            [--dedup on|off] [--calibrate on|off]\n"
          "            [--summary-json PATH] [--solver-backend B]\n"
          "            [--cache-dir PATH] [--trace PATH]\n"
@@ -273,11 +273,9 @@ void print_global_usage(std::ostream& out) {
          "\n"
          "serve scheduling (docs/SERVE.md \"Scheduling policy\"):\n"
          "--schedule-policy orders execution starts — 'fifo' (default,\n"
-         "input order), 'ljf' (longest-job-first; cuts makespan on\n"
-         "skewed batches), 'edf' (earliest deadline_s first), 'priority'\n"
-         "(smallest cost/priority ratio first), or 'srpt' (cheapest\n"
-         "first). --dedup ('on' default) memoizes result records by\n"
-         "request content so duplicate requests execute once.\n"
+         "input order) or 'ljf' (longest-job-first; cuts makespan on\n"
+         "skewed batches). --dedup ('on' default) memoizes result\n"
+         "records by request content so duplicate requests execute once.\n"
          "--calibrate ('on' default) fits the cost model's constants\n"
          "from measured wall times (docs/DISPATCH.md); with --cache-dir\n"
          "the fit persists across restarts. None of these change the\n"
@@ -817,10 +815,9 @@ int main(int argc, char** argv) {
     cli.add_string("in", "JSONL requests file, - = stdin", &args.in_path);
     cli.add_string("out", "JSONL results file, - = stdout", &args.out_path);
     cli.add_string("schedule-policy",
-                   "Execution-start order: fifo (input order), ljf "
-                   "(longest-job-first), edf (earliest-deadline-first), "
-                   "priority (cost/priority ratio), or srpt (shortest "
-                   "first); output bytes are identical either way",
+                   "Execution-start order: fifo (input order) or ljf "
+                   "(longest-job-first); output bytes are identical "
+                   "either way",
                    &args.schedule_policy);
     cli.add_string("dedup",
                    "Memoize results by request content, on or off "

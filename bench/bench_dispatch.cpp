@@ -14,7 +14,7 @@
 // min makespan wins) and every run's output must be byte-identical to a
 // 1-thread reference — placement may never change the bytes.
 //
-// The JSON record (schema "thermo.bench_dispatch.v2") is CI-gated:
+// The JSON record (schema "thermo.bench_dispatch.v3") is CI-gated:
 //   * ljf_makespan_s < fifo_makespan_s when gate_enforced (>= 4 worker
 //     threads AND >= 4 hardware threads — on fewer cores there is no
 //     parallelism for placement to exploit, so the gate is recorded but
@@ -27,11 +27,8 @@
 //   * calibration.improved: on a generated stream, a calibrator trained
 //     on one pass must estimate the next pass strictly better (median
 //     relative error, scale-free) than the hand-tuned constants;
-//   * slo.edf_ok: on a deadline batch (heavy deadline-free requests
-//     arriving first, light 100 ms-deadline requests behind them), edf
-//     placement must miss no more deadlines than fifo;
-//   * deterministic also covers the edf/priority/srpt policies and
-//     calibrate on/off — placement inputs may never change the bytes.
+//   * deterministic also covers calibrate on/off — placement inputs may
+//     never change the bytes.
 #include <algorithm>
 #include <fstream>
 #include <iostream>
@@ -80,40 +77,6 @@ std::string skewed_batch(std::size_t small_count) {
   whale.solver.backend = thermal::SolverBackend::kSparse;
   whale.solver.backend_explicit = true;
   input += scenario::to_json_line(whale) + "\n";  // deliberately LAST
-  return input;
-}
-
-/// The SLO batch: `heavy_count` deadline-free 246-core synthetic steady
-/// requests arrive FIRST, then `light_count` Alpha requests that each
-/// demand completion within 100 ms of the execution-window start. Under
-/// fifo every worker grabs a heavy request before any light one starts;
-/// under edf the deadlined lights (deadline 0.1 < +inf) all start
-/// first. The records are identical either way — only the miss count
-/// moves, which is exactly what the slo gate scores.
-std::string slo_batch(std::size_t heavy_count, std::size_t light_count) {
-  std::string input;
-  for (std::size_t i = 0; i < heavy_count; ++i) {
-    scenario::ScenarioRequest heavy;
-    heavy.id = "heavy-" + std::to_string(i);
-    heavy.soc.kind = scenario::SocKind::kSynthetic;
-    heavy.soc.synthetic.seed = 3;
-    heavy.soc.synthetic.cores = 246;  // 256 nodes: the first sparse rung
-    heavy.soc.synthetic.test_length_min = 0.05;
-    heavy.soc.synthetic.test_length_max = 0.05;
-    heavy.soc.power_scale = 1.0 + 0.001 * static_cast<double>(i);
-    heavy.tl = 400.0;
-    heavy.stcl.min = heavy.stcl.max = 100.0;
-    heavy.solver.transient = false;
-    input += scenario::to_json_line(heavy) + "\n";
-  }
-  for (std::size_t i = 0; i < light_count; ++i) {
-    scenario::ScenarioRequest light;
-    light.id = "light-" + std::to_string(i);
-    light.soc.power_scale = 1.0 + 0.001 * static_cast<double>(i);
-    light.stcl.min = light.stcl.max = 50.0;
-    light.deadline_s = 0.1;
-    input += scenario::to_json_line(light) + "\n";
-  }
   return input;
 }
 
@@ -170,35 +133,23 @@ int main(int argc, char** argv) {
 
     // Policy comparison: dedup off (isolates placement), fresh runner
     // per run (same cold-cache work for both policies), min over reps.
-    // fifo/ljf are the timed pair; edf/priority/srpt run once each with
-    // a calibrator attached, covering the full policy x calibration
-    // byte-identity claim in the same sweep.
     bool deterministic = true;
     double makespans[2] = {0.0, 0.0};
     for (const dispatch::SchedulePolicy policy :
-         {dispatch::SchedulePolicy::kFifo, dispatch::SchedulePolicy::kLjf,
-          dispatch::SchedulePolicy::kEdf, dispatch::SchedulePolicy::kPriority,
-          dispatch::SchedulePolicy::kSrpt}) {
-      const bool timed = policy == dispatch::SchedulePolicy::kFifo ||
-                         policy == dispatch::SchedulePolicy::kLjf;
-      const long long policy_reps = timed ? reps : 1;
+         {dispatch::SchedulePolicy::kFifo, dispatch::SchedulePolicy::kLjf}) {
       double best = 0.0;
-      for (long long rep = 0; rep < policy_reps; ++rep) {
+      for (long long rep = 0; rep < reps; ++rep) {
         scenario::ServeOptions options;
         options.threads = static_cast<std::size_t>(threads);
         options.policy = policy;
         options.dedup = false;
-        dispatch::CostCalibrator calibrator;
-        if (!timed) options.calibrator = &calibrator;
         const Run run = run_batch(requests, options);
         deterministic = deterministic && run.output == reference.output;
         if (rep == 0 || run.summary.makespan_seconds < best) {
           best = run.summary.makespan_seconds;
         }
       }
-      if (timed) {
-        makespans[policy == dispatch::SchedulePolicy::kLjf ? 1 : 0] = best;
-      }
+      makespans[policy == dispatch::SchedulePolicy::kLjf ? 1 : 0] = best;
     }
     const double fifo_makespan = makespans[0];
     const double ljf_makespan = makespans[1];
@@ -280,33 +231,6 @@ int main(int argc, char** argv) {
     const double calibrated_error = calib_eval.summary.calibrated_error;
     const bool calibration_improved = calibrated_error < fixed_error;
 
-    // SLO: the deadline batch under fifo vs edf at --threads. The gate
-    // is tie-tolerant (<=): a machine fast enough that even fifo meets
-    // every 100 ms deadline proves nothing against edf.
-    const std::string slo_requests = slo_batch(6, 12);
-    std::size_t slo_missed[2] = {0, 0};
-    std::size_t slo_deadline_requests = 0;
-    std::string slo_reference;
-    for (const dispatch::SchedulePolicy policy :
-         {dispatch::SchedulePolicy::kFifo, dispatch::SchedulePolicy::kEdf}) {
-      scenario::ServeOptions options;
-      options.threads = static_cast<std::size_t>(threads);
-      options.policy = policy;
-      options.dedup = false;
-      const Run run = run_batch(slo_requests, options);
-      THERMO_REQUIRE(run.summary.failed == 0,
-                     "slo batch had failing requests");
-      if (policy == dispatch::SchedulePolicy::kFifo) {
-        slo_reference = run.output;
-        slo_deadline_requests = run.summary.deadline_requests;
-      } else {
-        deterministic = deterministic && run.output == slo_reference;
-      }
-      slo_missed[policy == dispatch::SchedulePolicy::kEdf ? 1 : 0] =
-          run.summary.deadline_missed;
-    }
-    const bool edf_ok = slo_missed[1] <= slo_missed[0];
-
     const std::size_t hardware =
         std::max<std::size_t>(1, std::thread::hardware_concurrency());
     const bool gate_enforced =
@@ -333,10 +257,6 @@ int main(int argc, char** argv) {
               << format_double(calibrated_error, 3) << " fitted ("
               << calibrator.samples() << " samples, "
               << (calibration_improved ? "improved" : "NOT IMPROVED") << ")\n"
-              << "  slo deadlines: fifo missed " << slo_missed[0] << "/"
-              << slo_deadline_requests << ", edf missed " << slo_missed[1]
-              << "/" << slo_deadline_requests << " ("
-              << (edf_ok ? "ok" : "EDF WORSE") << ")\n"
               << "  deterministic: " << (deterministic ? "yes" : "NO") << '\n';
     if (!gate_enforced) {
       std::cout << "  note: ljf-beats-fifo gate not enforced ("
@@ -345,7 +265,7 @@ int main(int argc, char** argv) {
 
     if (!json_path.empty()) {
       JsonValue record = JsonValue::object();
-      record.set("schema", JsonValue::string("thermo.bench_dispatch.v2"));
+      record.set("schema", JsonValue::string("thermo.bench_dispatch.v3"));
       record.set("requests",
                  JsonValue::number(static_cast<double>(request_count)));
       record.set("small_requests",
@@ -375,15 +295,6 @@ int main(int argc, char** argv) {
       calibration.set("calibrated_error", JsonValue::number(calibrated_error));
       calibration.set("improved", JsonValue::boolean(calibration_improved));
       record.set("calibration", std::move(calibration));
-      JsonValue slo = JsonValue::object();
-      slo.set("deadline_requests",
-              JsonValue::number(static_cast<double>(slo_deadline_requests)));
-      slo.set("fifo_missed",
-              JsonValue::number(static_cast<double>(slo_missed[0])));
-      slo.set("edf_missed",
-              JsonValue::number(static_cast<double>(slo_missed[1])));
-      slo.set("edf_ok", JsonValue::boolean(edf_ok));
-      record.set("slo", std::move(slo));
       std::ofstream out(json_path);
       THERMO_REQUIRE(static_cast<bool>(out),
                      "cannot open --json path for writing");
@@ -417,11 +328,6 @@ int main(int argc, char** argv) {
                 << format_double(calibrated_error, 4)
                 << " did not beat fixed constants "
                 << format_double(fixed_error, 4) << '\n';
-      return 1;
-    }
-    if (!edf_ok) {
-      std::cerr << "error: edf missed " << slo_missed[1]
-                << " deadlines vs fifo's " << slo_missed[0] << '\n';
       return 1;
     }
     return 0;

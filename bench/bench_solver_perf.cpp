@@ -4,10 +4,9 @@
 // Two modes:
 //
 //  * `--quick [--json PATH]` — self-timed (std::chrono) measurement of
-//    the factor cache and the scenario sweep, emitting the
-//    machine-readable `BENCH_solver.json` perf-trajectory point:
-//    per-size cold-vs-cached steady solves, cold-vs-cached transient
-//    sessions, and sweep throughput with a 1-vs-N determinism check.
+//    the factor cache, emitting the machine-readable `BENCH_solver.json`
+//    perf-trajectory point: per-size cold-vs-cached steady solves and
+//    cold-vs-cached transient sessions.
 //    This mode has NO dependency on Google Benchmark, so CI can always
 //    produce a trajectory artifact (see .github/workflows/ci.yml and
 //    README "Reading BENCH_solver.json").
@@ -34,7 +33,6 @@
 #include "floorplan/generator.hpp"
 #include "linalg/cholesky.hpp"
 #include "soc/alpha.hpp"
-#include "sweep/scenario_sweep.hpp"
 #include "thermal/analyzer.hpp"
 #include "thermal/solver_cache.hpp"
 #include "thermal/steady_state.hpp"
@@ -158,86 +156,15 @@ TransientPoint measure_transient(std::size_t side) {
   return point;
 }
 
-struct SweepPoint {
-  std::size_t scenarios = 0, nodes = 0, threads = 0;
-  double serial_s = 0.0, parallel_s = 0.0;
-  bool deterministic = false;
-  double scenarios_per_s() const {
-    return parallel_s > 0.0 ? static_cast<double>(scenarios) / parallel_s : 0.0;
-  }
-};
-
-// GCC 12's -Wrestrict misfires on the `"s" + std::to_string(i)` chain
-// below once libstdc++'s basic_string insert is inlined (PR
-// tree-optimization/105651): the reported 2^63-byte overlap cannot
-// occur. Suppressed around this function only.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wrestrict"
-#endif
-SweepPoint measure_sweep(std::size_t side, std::size_t scenario_count) {
-  const thermal::RCModel model = make_grid_model(side);
-  std::vector<sweep::PowerScenario> scenarios(scenario_count);
-  for (std::size_t i = 0; i < scenario_count; ++i) {
-    scenarios[i].name = "s" + std::to_string(i);
-    scenarios[i].block_power.assign(model.block_count(), 0.0);
-    // Vary the active set per scenario, as a schedule exploration would.
-    for (std::size_t b = i % 3; b < model.block_count(); b += 2 + i % 4) {
-      scenarios[i].block_power[b] = 3.0 + 0.5 * static_cast<double>(i % 5);
-    }
-  }
-
-  sweep::SweepOptions serial_options;
-  serial_options.threads = 1;
-  const sweep::ScenarioSweep serial(serial_options);
-  const sweep::ScenarioSweep parallel{};  // hardware concurrency
-
-  SweepPoint point;
-  point.scenarios = scenario_count;
-  point.nodes = model.node_count();
-  point.threads = parallel.thread_count();
-
-  // Warm the factor cache before timing either run: the comparison is
-  // serial-vs-parallel back-substitution throughput, and the one-time
-  // factorization would otherwise be charged only to the serial run.
-  thermal::ThermalSolverCache::instance().cholesky(model);
-
-  using clock = std::chrono::steady_clock;
-  const auto t0 = clock::now();
-  const auto serial_outcomes = serial.run(model, scenarios);
-  const auto t1 = clock::now();
-  const auto parallel_outcomes = parallel.run(model, scenarios);
-  const auto t2 = clock::now();
-  point.serial_s = std::chrono::duration<double>(t1 - t0).count();
-  point.parallel_s = std::chrono::duration<double>(t2 - t1).count();
-
-  // Deterministic = the two runs produced EQUAL outcomes (including any
-  // identically-failing scenario) — a shared failure is not
-  // nondeterminism, a diverging one is.
-  point.deterministic = serial_outcomes.size() == parallel_outcomes.size();
-  for (std::size_t i = 0; point.deterministic && i < serial_outcomes.size();
-       ++i) {
-    const sweep::ScenarioOutcome& s = serial_outcomes[i];
-    const sweep::ScenarioOutcome& p = parallel_outcomes[i];
-    point.deterministic =
-        s.ok == p.ok && s.error == p.error && s.block_peak == p.block_peak;
-  }
-  return point;
-}
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-
 void write_json(const std::string& path, const std::vector<SteadyPoint>& steady,
-                const std::vector<TransientPoint>& transient,
-                const SweepPoint& sweep_point) {
+                const std::vector<TransientPoint>& transient) {
   std::ofstream out(path);
   if (!out) {
     throw std::runtime_error("cannot write " + path);
   }
   out.precision(6);
   out << "{\n";
-  out << "  \"schema\": \"thermo.bench_solver.v1\",\n";
+  out << "  \"schema\": \"thermo.bench_solver.v2\",\n";
   out << "  \"bench\": \"bench_solver_perf\",\n";
   out << "  \"mode\": \"quick\",\n";
   out << "  \"steady\": [\n";
@@ -260,20 +187,12 @@ void write_json(const std::string& path, const std::vector<SteadyPoint>& steady,
         << ", \"speedup\": " << p.speedup() << "}"
         << (i + 1 < transient.size() ? "," : "") << "\n";
   }
-  out << "  ],\n";
-  out << "  \"sweep\": {\"scenarios\": " << sweep_point.scenarios
-      << ", \"nodes\": " << sweep_point.nodes
-      << ", \"threads\": " << sweep_point.threads
-      << ", \"serial_s\": " << sweep_point.serial_s
-      << ", \"parallel_s\": " << sweep_point.parallel_s
-      << ", \"scenarios_per_s\": " << sweep_point.scenarios_per_s()
-      << ", \"deterministic\": "
-      << (sweep_point.deterministic ? "true" : "false") << "}\n";
+  out << "  ]\n";
   out << "}\n";
 }
 
 int run_quick(const std::string& json_path) {
-  std::cout << "bench_solver_perf --quick (factor cache + sweep)\n";
+  std::cout << "bench_solver_perf --quick (factor cache)\n";
 
   std::vector<SteadyPoint> steady;
   for (std::size_t side : {8u, 16u, 24u}) {  // 74 / 266 / 586 nodes
@@ -293,15 +212,7 @@ int run_quick(const std::string& json_path) {
               << " s, speedup " << p.speedup() << "x\n";
   }
 
-  const SweepPoint sweep_point = measure_sweep(16, 64);
-  std::cout << "sweep   " << sweep_point.scenarios << " scenarios on "
-            << sweep_point.nodes << " nodes: serial " << sweep_point.serial_s
-            << " s, " << sweep_point.threads << " threads "
-            << sweep_point.parallel_s << " s, "
-            << sweep_point.scenarios_per_s() << " scenarios/s, deterministic "
-            << (sweep_point.deterministic ? "yes" : "NO") << "\n";
-
-  write_json(json_path, steady, transient, sweep_point);
+  write_json(json_path, steady, transient);
   std::cout << "wrote " << json_path << "\n";
   return 0;
 }
@@ -379,26 +290,6 @@ void BM_TransientSession(benchmark::State& state) {
   state.SetLabel(std::to_string(model.block_count()) + " blocks, 1 s");
 }
 BENCHMARK(BM_TransientSession)->Arg(2)->Arg(4)->Arg(8);
-
-void BM_ScenarioSweep(benchmark::State& state) {
-  const thermal::RCModel model = make_grid_model(12);
-  std::vector<sweep::PowerScenario> scenarios(64);
-  for (std::size_t i = 0; i < scenarios.size(); ++i) {
-    scenarios[i].block_power.assign(model.block_count(), 0.0);
-    for (std::size_t b = i % 3; b < model.block_count(); b += 2 + i % 4) {
-      scenarios[i].block_power[b] = 3.0;
-    }
-  }
-  sweep::SweepOptions options;
-  options.threads = static_cast<std::size_t>(state.range(0));
-  const sweep::ScenarioSweep sweeper(options);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sweeper.run(model, scenarios));
-  }
-  state.SetLabel("64 scenarios, " + std::to_string(state.range(0)) +
-                 " threads");
-}
-BENCHMARK(BM_ScenarioSweep)->Arg(1)->Arg(2)->Arg(4);
 
 void BM_StcEvaluation(benchmark::State& state) {
   const core::SocSpec soc = soc::alpha_soc();

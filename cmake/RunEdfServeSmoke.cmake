@@ -3,11 +3,11 @@
 # scoreboard — the generator only draws the tight 1e-7 s deadline (every
 # executed request misses it on any machine) and the generous 1e6 s one
 # (never missed) — and (b) produce byte-identical results across
-# {1,4} threads x {fifo,edf,priority,srpt} x --calibrate {on,off}: the
-# new placement policies and the self-calibrating cost model may change
-# when work runs, never what is written. Also checks the summary JSON
-# keeps the v1 schema needle while carrying the new slo + calibration
-# sections.
+# {1,4} threads x {fifo,ljf} x --calibrate {on,off}: placement and the
+# self-calibrating cost model may change when work runs, never what is
+# written. Also checks the summary JSON keeps the v1 schema needle while
+# carrying the slo + calibration sections, and that the removed edf
+# policy is a usage error (exit 2) whose message names fifo and ljf.
 #
 # Usage: cmake -DSERVE_BIN=<thermosched> -DWORK_DIR=<scratch dir>
 #              -P RunEdfServeSmoke.cmake
@@ -16,8 +16,8 @@ if(NOT SERVE_BIN OR NOT WORK_DIR)
 endif()
 file(MAKE_DIRECTORY "${WORK_DIR}")
 set(requests "${WORK_DIR}/requests_deadlined.jsonl")
-set(reference "${WORK_DIR}/results_edf_t1.jsonl")
-set(summary "${WORK_DIR}/summary_edf.json")
+set(reference "${WORK_DIR}/results_fifo_t1_on.jsonl")
+set(summary "${WORK_DIR}/summary_fifo.json")
 
 # Seeded stream: 24 requests, small sizes (zipf 1.6 keeps the ladder's
 # whales away so the config sweep stays quick), half deadlined.
@@ -43,10 +43,10 @@ if(tight_count EQUAL 0 OR generous_count EQUAL 0)
     "generous=${generous_count}):\n${request_text}")
 endif()
 
-# Reference: edf on 1 thread with calibration on, plus the summary JSON.
+# Reference: fifo on 1 thread with calibration on, plus the summary JSON.
 execute_process(
   COMMAND "${SERVE_BIN}" serve --in "${requests}" --out "${reference}"
-          --threads 1 --schedule-policy edf --calibrate on
+          --threads 1 --schedule-policy fifo --calibrate on
           --summary-json "${summary}"
   ERROR_VARIABLE serve_err
   RESULT_VARIABLE serve_rc)
@@ -58,10 +58,13 @@ endif()
 # quoted item is one ;-separated record — foreach over ITEMS keeps them
 # intact where a LISTS variable would flatten.)
 foreach(config
-    "4;edf;on;results_edf_t4.jsonl"
-    "4;fifo;off;results_fifo_t4.jsonl"
-    "1;priority;on;results_priority_t1.jsonl"
-    "4;srpt;off;results_srpt_t4.jsonl")
+    "1;fifo;off;results_fifo_t1_off.jsonl"
+    "4;fifo;on;results_fifo_t4_on.jsonl"
+    "4;fifo;off;results_fifo_t4_off.jsonl"
+    "1;ljf;on;results_ljf_t1_on.jsonl"
+    "1;ljf;off;results_ljf_t1_off.jsonl"
+    "4;ljf;on;results_ljf_t4_on.jsonl"
+    "4;ljf;off;results_ljf_t4_off.jsonl")
   list(GET config 0 threads)
   list(GET config 1 policy)
   list(GET config 2 calibrate)
@@ -83,7 +86,7 @@ foreach(config
     RESULT_VARIABLE cmp_rc)
   if(NOT cmp_rc EQUAL 0)
     message(FATAL_ERROR
-      "serve output differs from the 1-thread edf reference for "
+      "serve output differs from the 1-thread fifo reference for "
       "--threads ${threads} --schedule-policy ${policy} --calibrate "
       "${calibrate} (${reference} vs ${outfile}) — the dispatch layer "
       "lost determinism")
@@ -104,7 +107,7 @@ file(READ "${summary}" summary_text)
 math(EXPR deadlined "${tight_count} + ${generous_count}")
 foreach(needle
     "\"schema\":\"thermo.serve_summary.v1\""
-    "\"policy\":\"edf\""
+    "\"policy\":\"fifo\""
     "\"slo\":{\"deadline_requests\":${deadlined},\"met\":${generous_count},\"missed\":${tight_count}}"
     "\"calibration\":{\"enabled\":true"
     "\"request_timings\":")
@@ -115,7 +118,27 @@ foreach(needle
   endif()
 endforeach()
 
+# The deadline-ordering policies are gone: edf must be rejected as a
+# usage error that names the two policies left.
+execute_process(
+  COMMAND "${SERVE_BIN}" serve --in "${requests}"
+          --out "${WORK_DIR}/results_rejected.jsonl" --schedule-policy edf
+  OUTPUT_VARIABLE edf_out
+  ERROR_VARIABLE edf_err
+  RESULT_VARIABLE edf_rc)
+if(NOT edf_rc EQUAL 2)
+  message(FATAL_ERROR
+    "--schedule-policy edf must exit 2, got ${edf_rc}\n${edf_out}${edf_err}")
+endif()
+foreach(name "'fifo'" "'ljf'")
+  string(FIND "${edf_err}" "${name}" found)
+  if(found EQUAL -1)
+    message(FATAL_ERROR
+      "--schedule-policy edf error must name ${name}:\n${edf_err}")
+  endif()
+endforeach()
+
 message(STATUS
-  "edf serve smoke OK: 24-request deadlined stream byte-identical across "
+  "SLO serve smoke OK: 24-request deadlined stream byte-identical across "
   "threads x policy x calibration; missed exactly the ${tight_count} "
-  "tight deadlines")
+  "tight deadlines; edf rejected with exit 2")

@@ -6,7 +6,7 @@
 // effort and max temperature, so a test engineer can pick the knee.
 //
 // The STCL values are independent, so core::sweep_stcl fans them across
-// a thread pool: every per-STCL scheduler run gets its own
+// threads: every per-STCL scheduler run gets its own
 // ThermalAnalyzer (effort accounting is not thread-safe) but all of
 // them share one RCModel, whose factorizations are computed once
 // through the solver cache and back-substituted by every thread. The

@@ -1,6 +1,8 @@
 #include "core/stcl_sweep.hpp"
 
-#include "sweep/scenario_sweep.hpp"
+#include <numeric>
+
+#include "sweep/parallel_for.hpp"
 #include "thermal/analyzer.hpp"
 #include "util/error.hpp"
 
@@ -11,24 +13,24 @@ std::vector<StclSweepPoint> sweep_stcl(
     const std::vector<double>& stcl_values, const StclSweepConfig& config) {
   THERMO_REQUIRE(model != nullptr, "stcl sweep requires a model");
 
-  sweep::SweepOptions sweep_options;
-  sweep_options.threads = config.threads;
-  const sweep::ScenarioSweep sweeper(sweep_options);
-
-  return sweeper.map(stcl_values.size(), [&](std::size_t i) {
+  std::vector<std::size_t> order(stcl_values.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::vector<StclSweepPoint> points(stcl_values.size());
+  sweep::for_each_in_order(order, config.threads, [&](std::size_t i) {
     thermal::ThermalAnalyzer analyzer(model, config.analyzer);
     ThermalSchedulerOptions options = config.scheduler;
     options.stc_limit = stcl_values[i];
     const ThermalAwareScheduler scheduler(options);
     const ScheduleResult result = scheduler.generate(soc, analyzer);
-    return StclSweepPoint{stcl_values[i],
-                          result.schedule_length,
-                          result.simulation_effort,
-                          result.schedule.session_count(),
-                          result.max_temperature,
-                          result.discarded_sessions,
-                          scheduler.effective_temperature_limit()};
+    points[i] = StclSweepPoint{stcl_values[i],
+                               result.schedule_length,
+                               result.simulation_effort,
+                               result.schedule.session_count(),
+                               result.max_temperature,
+                               result.discarded_sessions,
+                               scheduler.effective_temperature_limit()};
   });
+  return points;
 }
 
 std::vector<double> stcl_range(double min, double max, double step) {

@@ -1,5 +1,5 @@
 // Parallel STCL exploration: run Algorithm 1 once per STCL value,
-// fanned across a sweep::ScenarioSweep thread pool.
+// fanned across threads by sweep::for_each_in_order in index order.
 //
 // The paper exposes STCL as the user knob trading schedule efficiency
 // against simulation effort (Section 5); picking it means scanning a

@@ -1,6 +1,6 @@
 // CostModel: estimate how expensive a scenario request is *before*
-// running it, so the WorkQueue's longest-job-first policy can place the
-// whales first.
+// running it, so the dispatch engine's longest-job-first policy (ljf)
+// can place the whales first.
 //
 // Every request in this system lowers to the same shape of work: per
 // STCL point, Algorithm 1 alternates cheap model-guided construction

@@ -2,16 +2,16 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <ctime>
 #include <string_view>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "sweep/thread_pool.hpp"
+#include "sweep/parallel_for.hpp"
 #include "util/error.hpp"
 
 namespace thermo::dispatch {
@@ -63,10 +63,28 @@ std::uint64_t to_ns(std::chrono::steady_clock::duration d) {
 
 }  // namespace
 
+const char* schedule_policy_name(SchedulePolicy policy) {
+  switch (policy) {
+    case SchedulePolicy::kFifo: return "fifo";
+    case SchedulePolicy::kLjf: return "ljf";
+  }
+  return "?";
+}
+
+std::optional<SchedulePolicy> schedule_policy_from_name(std::string_view name) {
+  if (name == "fifo") return SchedulePolicy::kFifo;
+  if (name == "ljf") return SchedulePolicy::kLjf;
+  return std::nullopt;
+}
+
 EngineStats run_batch(const std::vector<Job>& jobs,
                       const std::function<std::string(std::size_t)>& execute,
                       OrderedWriter& writer, const EngineOptions& options) {
   const std::size_t n = jobs.size();
+  for (const Job& job : jobs) {
+    THERMO_REQUIRE(std::isfinite(job.cost) && job.cost >= 0.0,
+                   "run_batch: job cost must be finite and >= 0");
+  }
   EngineStats stats;
   stats.jobs = n;
   stats.timings.resize(n);
@@ -111,24 +129,20 @@ EngineStats run_batch(const std::vector<Job>& jobs,
     for (std::size_t i = 0; i < n; ++i) scheduled.push_back(i);
   }
 
-  WorkQueue queue(options.policy);
-  {
+  if (options.policy == SchedulePolicy::kLjf) {
+    // stable_sort over input order: equal costs keep ascending input
+    // index, so the start order is a pure function of the batch.
     obs::TraceSpan sort_span("dispatch.policy_sort");
     obs::ScopedTimer sort_timer(metrics.policy_sort_ns);
-    for (const std::size_t i : scheduled) {
-      WorkItem item;
-      item.index = i;
-      item.cost = jobs[i].cost;
-      item.deadline = jobs[i].deadline;
-      item.priority = jobs[i].priority;
-      queue.push(item);
-    }
-    queue.seal();
+    std::stable_sort(scheduled.begin(), scheduled.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return jobs[a].cost > jobs[b].cost;
+                     });
   }
 
   // Execution-window origin: done_seconds and the makespan share this
-  // timepoint, so "done before deadline" means "within deadline seconds
-  // of the first possible execution start". Declared before run_one so
+  // timepoint, so a serve deadline means "within deadline seconds of
+  // the first possible execution start". Declared before run_one so
   // the lambda can capture it; assigned right before workers start.
   std::chrono::steady_clock::time_point exec_start;
   const auto run_one = [&](std::size_t i) {
@@ -163,28 +177,11 @@ EngineStats run_batch(const std::vector<Job>& jobs,
     writer.push(i, std::move(record));
   };
 
-  const std::size_t threads = std::min(
-      scheduled.size(),
-      options.threads != 0
-          ? options.threads
-          : std::max<std::size_t>(1, std::thread::hardware_concurrency()));
-  stats.threads = threads;
+  stats.threads = sweep::worker_count(options.threads, scheduled.size());
   exec_start = std::chrono::steady_clock::now();
-  if (threads <= 1) {
-    while (const auto i = queue.pop()) run_one(*i);
-  } else {
-    // One task per worker pulling from the policy-ordered queue (same
-    // shared-counter shape as sweep::ScenarioSweep, but the pop ORDER
-    // is the policy's — under ljf a freed worker always takes the most
-    // expensive remaining job).
-    sweep::ThreadPool pool(threads);
-    for (std::size_t w = 0; w < threads; ++w) {
-      pool.submit([&] {
-        while (const auto i = queue.pop()) run_one(*i);
-      });
-    }
-    pool.wait_idle();  // rethrows the first execute exception, if any
-  }
+  // Rethrows the first execute exception, if any, once every worker
+  // has joined.
+  sweep::for_each_in_order(scheduled, options.threads, run_one);
   stats.makespan_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     exec_start)

@@ -2,12 +2,12 @@
 // memoization and streaming ordered output.
 //
 // This is the layer between a batch front-end (scenario::serve_stream)
-// and the raw worker pool (sweep::ThreadPool): the front-end describes
-// each job as {content address, estimated cost} plus a pure execute
-// function, and the engine owns *how* the batch runs —
+// and the parallel loop (sweep::for_each_in_order): the front-end
+// describes each job as {content address, estimated cost} plus a pure
+// execute function, and the engine owns *how* the batch runs —
 //
-//   placement   WorkQueue orders execution starts (fifo / ljf / edf /
-//               priority / srpt, or a registered third-party policy);
+//   placement   the policy orders execution starts: fifo = input order,
+//               ljf = longest-job-first by estimated cost;
 //   dedup       jobs sharing a content address execute once: a prior
 //               batch's record is served from the ResultMemo, and
 //               within-batch duplicates are grouped behind one leader
@@ -28,14 +28,44 @@
 
 #include <cstddef>
 #include <functional>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dispatch/ordered_writer.hpp"
 #include "dispatch/result_memo.hpp"
-#include "dispatch/work_queue.hpp"
 
 namespace thermo::dispatch {
+
+/// Execution-start order of a batch's scheduled jobs.
+///
+/// serve-style batches are skewed — ROADMAP measured one 1034-node
+/// sparse request at ~100x an Alpha request — so which job a freed
+/// worker picks next can decide the batch makespan:
+///
+///  * fifo — input order, the historical serve behaviour: predictable,
+///           but a whale request near the end of the batch starts after
+///           all the small fry and sets the makespan almost by accident.
+///  * ljf  — longest-job-first by estimated cost, the classic LPT
+///           heuristic for makespan on identical machines (Graham): the
+///           whale starts first, small jobs backfill the other workers.
+///           A stable sort, so equal costs keep ascending input index
+///           and the order is a pure function of the batch.
+///
+/// The policy reorders execution *starts* only; records are placed by
+/// input index (OrderedWriter), so output bytes never depend on it.
+enum class SchedulePolicy {
+  kFifo,  ///< input order (historical serve behaviour)
+  kLjf    ///< longest-job-first by estimated cost
+};
+
+/// Canonical spelling used in CLI/JSON ("fifo", "ljf").
+const char* schedule_policy_name(SchedulePolicy policy);
+
+/// Inverse of schedule_policy_name; nullopt for anything else. Callers
+/// (the serve flag, bench) own their error reporting.
+std::optional<SchedulePolicy> schedule_policy_from_name(std::string_view name);
 
 /// One unit of batch work, as the front-end describes it. The engine
 /// never inspects record contents; everything it needs is here.
@@ -46,16 +76,9 @@ struct Job {
   /// front-ends use that for records that depend on batch position,
   /// e.g. parse failures carrying a line number.
   std::string memo_key;
-  /// Estimated execution cost (CostModel units); only its ordering
-  /// matters, and only under cost-driven policies (ljf/priority/srpt).
+  /// Estimated execution cost (CostModel units; finite, >= 0); only
+  /// its ordering matters, and only under ljf.
   double cost = 0.0;
-  /// SLO deadline in seconds from the start of the execution window;
-  /// kNoDeadline when the job has none. Orders execution under edf and
-  /// is scored against JobTiming::done_seconds — never changes output.
-  double deadline = kNoDeadline;
-  /// Relative weight (finite, > 0); orders execution under the
-  /// 'priority' (WSPT) policy.
-  double priority = 1.0;
 };
 
 struct JobTiming {
@@ -67,10 +90,10 @@ struct JobTiming {
   /// never queue). What the scheduling policy actually controls.
   double wait_seconds = 0.0;
   /// Completion offset from the start of the execution window: when
-  /// this job's record existed, in the same clock deadlines are
-  /// expressed in. 0 for planning-time memo hits (their record exists
-  /// before any worker starts); within-batch duplicates inherit their
-  /// leader's completion.
+  /// this job's record existed — the clock serve scores request
+  /// deadlines against. 0 for planning-time memo hits (their record
+  /// exists before any worker starts); within-batch duplicates inherit
+  /// their leader's completion.
   double done_seconds = 0.0;
   bool memo_hit = false;      ///< record served without executing
 };
@@ -105,7 +128,8 @@ struct EngineOptions {
 /// to call concurrently with itself for distinct i (it is called at
 /// most once per job). Records stream to `writer` in index order;
 /// `writer` must be constructed for exactly jobs.size() records and is
-/// finish()ed before returning. Exceptions escaping execute propagate
+/// finish()ed before returning. Throws InvalidArgument when a job's cost
+/// is negative or not finite. Exceptions escaping execute propagate
 /// (first one wins) — front-ends that want per-job error records must
 /// catch inside execute.
 EngineStats run_batch(const std::vector<Job>& jobs,

@@ -169,14 +169,15 @@ struct ScenarioRequest {
 
   /// Optional SLO deadline in seconds (from the start of the batch's
   /// execution window); 0 = unset. Valid for every kind — it describes
-  /// the serving contract, not the scenario — and feeds the edf policy
-  /// plus the per-request deadline_met flag in the serve summary. Never
-  /// changes the result record.
+  /// the serving contract, not the scenario — and is scored into the
+  /// per-request deadline_met flag and the slo section of the serve
+  /// summary. Never changes the result record or the execution order.
   double deadline_s = 0.0;
 
-  /// Relative scheduling weight (finite, > 0; default 1): higher values
-  /// start earlier under the 'priority' policy. Like deadline_s, a
-  /// serving knob only — never part of the result record.
+  /// Relative scheduling weight (finite, > 0; default 1). Parsed,
+  /// validated and echoed by to_json_line for compatibility; no
+  /// placement policy reads it. Like deadline_s, a serving knob only —
+  /// never part of the result record or the memo key.
   double priority = 1.0;
 
   SocSelector soc;

@@ -186,32 +186,40 @@ core::SocSpec ScenarioRunner::build_soc(const SocSelector& selector) {
   return soc;
 }
 
-std::shared_ptr<const thermal::RCModel> ScenarioRunner::model_for(
-    const SocSelector& selector, const core::SocSpec& soc) {
-  const std::string key = selector.geometry_key();
+template <typename Model, typename Build>
+std::shared_ptr<const Model> ScenarioRunner::cached_model(
+    ModelCache<Model>& cache, const std::string& key, Build&& build) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  auto it = models_.find(key);
-  if (it != models_.end()) {
+  auto it = cache.find(key);
+  if (it != cache.end()) {
     ++stats_.model_hits;
     it->second.last_used = ++use_counter_;
     return it->second.model;
   }
-  if (models_.size() >= kMaxCachedModels) {
-    auto victim = models_.begin();
-    for (auto cand = models_.begin(); cand != models_.end(); ++cand) {
+  if (cache.size() >= kMaxCachedModels) {
+    auto victim = cache.begin();
+    for (auto cand = cache.begin(); cand != cache.end(); ++cand) {
       if (cand->second.last_used < victim->second.last_used) victim = cand;
     }
-    models_.erase(victim);
+    cache.erase(victim);
   }
-  // Built under the lock: assembly is O(n^2) matrix stamping, cheap next
-  // to the O(n^3) factorizations, which happen later in the solver cache
-  // *outside* any lock here.
+  // Built under the lock: dense assembly is O(n^2) matrix stamping and
+  // grid assembly one sparse Builder pass, cheap next to the
+  // factorizations, which happen later in the solver cache *outside*
+  // any lock here.
   obs::TraceSpan build_span("scenario.model_build");
   obs::ScopedTimer build_timer(model_build_ns());
-  auto model = std::make_shared<const thermal::RCModel>(soc.flp, soc.package);
-  models_.emplace(key, CachedModel{model, ++use_counter_});
+  std::shared_ptr<const Model> model = build();
+  cache.emplace(key, Cached<Model>{model, ++use_counter_});
   ++stats_.model_misses;
   return model;
+}
+
+std::shared_ptr<const thermal::RCModel> ScenarioRunner::model_for(
+    const SocSelector& selector, const core::SocSpec& soc) {
+  return cached_model(models_, selector.geometry_key(), [&] {
+    return std::make_shared<const thermal::RCModel>(soc.flp, soc.package);
+  });
 }
 
 std::shared_ptr<const thermal::GridThermalModel> ScenarioRunner::grid_model_for(
@@ -220,31 +228,10 @@ std::shared_ptr<const thermal::GridThermalModel> ScenarioRunner::grid_model_for(
   const std::string key = selector.geometry_key() + ":grid:" +
                           std::to_string(grid.rows) + "x" +
                           std::to_string(grid.cols);
-  const std::lock_guard<std::mutex> lock(mutex_);
-  auto it = grids_.find(key);
-  if (it != grids_.end()) {
-    ++stats_.model_hits;
-    it->second.last_used = ++use_counter_;
-    return it->second.model;
-  }
-  if (grids_.size() >= kMaxCachedModels) {
-    auto victim = grids_.begin();
-    for (auto cand = grids_.begin(); cand != grids_.end(); ++cand) {
-      if (cand->second.last_used < victim->second.last_used) victim = cand;
-    }
-    grids_.erase(victim);
-  }
-  // Grid assembly is sparse-first (one Builder pass over rows*cols
-  // cells), so even a 100k-node build under the lock stays O(nnz); the
-  // expensive fill-ordered factorization happens later in the solver
-  // cache, outside this mutex.
-  obs::TraceSpan build_span("scenario.model_build");
-  obs::ScopedTimer build_timer(model_build_ns());
-  auto model = std::make_shared<const thermal::GridThermalModel>(
-      soc.flp, soc.package, thermal::GridOptions{grid.rows, grid.cols});
-  grids_.emplace(key, CachedGrid{model, ++use_counter_});
-  ++stats_.model_misses;
-  return model;
+  return cached_model(grids_, key, [&] {
+    return std::make_shared<const thermal::GridThermalModel>(
+        soc.flp, soc.package, thermal::GridOptions{grid.rows, grid.cols});
+  });
 }
 
 ScenarioRunner::Stats ScenarioRunner::stats() const {

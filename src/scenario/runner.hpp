@@ -13,7 +13,7 @@
 //
 // Thread safety: run() is safe to call concurrently (the model cache is
 // mutex-guarded; each run builds private analyzers/schedulers), which is
-// how serve_stream fans requests across a sweep::ScenarioSweep pool.
+// how serve_stream fans requests across the dispatch engine's workers.
 // Per-request failures — bad .flp paths, scheduler throws — are captured
 // in the result record (`ok:false` + the error message); run() itself
 // only propagates non-thermo exceptions (e.g. bad_alloc).
@@ -140,18 +140,26 @@ class ScenarioRunner {
   static constexpr std::size_t kMaxCachedModels = 64;
 
  private:
-  struct CachedModel {
-    std::shared_ptr<const thermal::RCModel> model;
+  template <typename Model>
+  struct Cached {
+    std::shared_ptr<const Model> model;
     std::uint64_t last_used = 0;  ///< LRU stamp (monotonic use counter)
   };
-  struct CachedGrid {
-    std::shared_ptr<const thermal::GridThermalModel> model;
-    std::uint64_t last_used = 0;
-  };
+  template <typename Model>
+  using ModelCache = std::map<std::string, Cached<Model>>;
+
+  /// The one lookup / stamp / evict / build path behind model_for and
+  /// grid_model_for: returns cache[key], counting a hit, or evicts the
+  /// least recently used entry at kMaxCachedModels and stores build()'s
+  /// model, counting a miss. build() runs under the mutex.
+  template <typename Model, typename Build>
+  std::shared_ptr<const Model> cached_model(ModelCache<Model>& cache,
+                                            const std::string& key,
+                                            Build&& build);
 
   mutable std::mutex mutex_;
-  std::map<std::string, CachedModel> models_;
-  std::map<std::string, CachedGrid> grids_;
+  ModelCache<thermal::RCModel> models_;
+  ModelCache<thermal::GridThermalModel> grids_;
   std::uint64_t use_counter_ = 0;
   Stats stats_;
 };

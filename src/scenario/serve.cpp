@@ -115,7 +115,7 @@ ServeSummary serve_stream(std::istream& in, std::ostream& out,
     if (lines[i].valid) {
       if (options.dedup) {
         // The memo key strips the SLO envelope: deadline/priority only
-        // say how urgently to serve, the record is identical — two
+        // describe the serving contract, the record is identical — two
         // requests differing only there must share one cache entry.
         ScenarioRequest keyed = lines[i].request;
         keyed.deadline_s = 0.0;
@@ -124,10 +124,6 @@ ServeSummary serve_stream(std::istream& in, std::ostream& out,
       }
       features[i] = request_cost_features(lines[i].request);
       jobs[i].cost = cost_model.estimate(features[i]);
-      jobs[i].deadline = lines[i].request.deadline_s > 0.0
-                             ? lines[i].request.deadline_s
-                             : dispatch::kNoDeadline;
-      jobs[i].priority = lines[i].request.priority;
     }
   }
 

@@ -24,10 +24,9 @@
 // OUTSIDE it — an O(n^3) factor never stalls other workers' lookups.
 // Two threads racing the same cold key may both factor; the first
 // insert wins and both share its result. The returned factor objects
-// are const and thread-safe, so a sweep::ScenarioSweep fanning one
-// model across N threads factors (effectively) once and solves N-wide;
-// ScenarioSweep::run additionally pre-warms the needed keys before the
-// fan-out so workers start on cache hits. Entries are evicted
+// are const and thread-safe, so an STCL sweep or serve batch fanning
+// one model across N threads factors (effectively) once and solves
+// N-wide. Entries are evicted
 // least-recently-used beyond `capacity()` to bound memory (a dense
 // factor is n^2 doubles; a sparse one nnz(L) + n).
 #pragma once

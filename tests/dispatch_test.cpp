@@ -1,5 +1,5 @@
-// The dispatch layer in isolation: cost-model ordering, work-queue
-// policies, the content-addressed result memo (FNV addressing, LRU,
+// The dispatch layer in isolation: cost-model ordering, the fifo/ljf
+// start order, the content-addressed result memo (FNV addressing, LRU,
 // stats), the streaming ordered writer, and the engine's hard
 // invariant — output bytes identical across thread counts, policies,
 // and dedup settings.
@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <limits>
 #include <numeric>
@@ -19,7 +18,6 @@
 #include "dispatch/cost_model.hpp"
 #include "dispatch/ordered_writer.hpp"
 #include "dispatch/result_memo.hpp"
-#include "dispatch/work_queue.hpp"
 #include "util/error.hpp"
 
 namespace thermo::dispatch {
@@ -88,161 +86,20 @@ TEST(CostModel, ConstantsAreOverridable) {
 TEST(SchedulePolicy, NamesRoundTrip) {
   EXPECT_STREQ(schedule_policy_name(SchedulePolicy::kFifo), "fifo");
   EXPECT_STREQ(schedule_policy_name(SchedulePolicy::kLjf), "ljf");
-  EXPECT_STREQ(schedule_policy_name(SchedulePolicy::kEdf), "edf");
-  EXPECT_STREQ(schedule_policy_name(SchedulePolicy::kPriority), "priority");
-  EXPECT_STREQ(schedule_policy_name(SchedulePolicy::kSrpt), "srpt");
-  for (SchedulePolicy policy :
-       {SchedulePolicy::kFifo, SchedulePolicy::kLjf, SchedulePolicy::kEdf,
-        SchedulePolicy::kPriority, SchedulePolicy::kSrpt}) {
+  for (SchedulePolicy policy : {SchedulePolicy::kFifo, SchedulePolicy::kLjf}) {
     EXPECT_EQ(schedule_policy_from_name(schedule_policy_name(policy)), policy);
   }
-  EXPECT_EQ(schedule_policy_from_name("sjf"), std::nullopt);
-  EXPECT_EQ(schedule_policy_from_name(""), std::nullopt);
 }
 
-TEST(SchedulePolicy, BuiltinsAreRegistered) {
-  for (const char* name : {"fifo", "ljf", "edf", "priority", "srpt"}) {
-    EXPECT_TRUE(schedule_policy_registered(name)) << name;
+TEST(SchedulePolicy, BothBuiltinsResolveByName) {
+  EXPECT_EQ(schedule_policy_from_name("fifo"), SchedulePolicy::kFifo);
+  EXPECT_EQ(schedule_policy_from_name("ljf"), SchedulePolicy::kLjf);
+}
+
+TEST(SchedulePolicy, FromNameRejectsUnknownAndRemovedNames) {
+  for (const char* gone : {"edf", "priority", "srpt", "sjf", ""}) {
+    EXPECT_EQ(schedule_policy_from_name(gone), std::nullopt) << gone;
   }
-  EXPECT_FALSE(schedule_policy_registered("sjf"));
-  const std::vector<std::string> names = registered_schedule_policies();
-  for (const char* builtin : {"fifo", "ljf", "edf", "priority", "srpt"}) {
-    EXPECT_NE(std::find(names.begin(), names.end(), builtin), names.end())
-        << builtin << " missing from registered_schedule_policies()";
-  }
-}
-
-TEST(SchedulePolicy, RegistryAcceptsThirdPartyPoliciesOnce) {
-  // Largest-index-first: trivially wrong as a scheduler, obviously
-  // distinguishable from every built-in order.
-  register_schedule_policy("test.reverse",
-                           [](const WorkItem& a, const WorkItem& b) {
-                             return a.index > b.index;
-                           });
-  EXPECT_TRUE(schedule_policy_registered("test.reverse"));
-  WorkQueue queue(std::string_view("test.reverse"));
-  queue.push(0, 1.0);
-  queue.push(1, 2.0);
-  queue.push(2, 3.0);
-  queue.seal();
-  EXPECT_EQ(queue.pop(), 2u);
-  EXPECT_EQ(queue.pop(), 1u);
-  EXPECT_EQ(queue.pop(), 0u);
-
-  // First registration wins forever: a retaken name throws, built-ins
-  // included; the empty name is never valid.
-  EXPECT_THROW(register_schedule_policy("test.reverse", {}), InvalidArgument);
-  EXPECT_THROW(register_schedule_policy("fifo", {}), InvalidArgument);
-  EXPECT_THROW(register_schedule_policy("", {}), InvalidArgument);
-}
-
-TEST(SchedulePolicy, QueueRejectsUnknownPolicyName) {
-  EXPECT_THROW(WorkQueue(std::string_view("no-such-policy")), InvalidArgument);
-  EXPECT_THROW(WorkQueue(std::string_view("")), InvalidArgument);
-}
-
-TEST(WorkQueue, FifoPopsInInsertionOrder) {
-  WorkQueue queue(SchedulePolicy::kFifo);
-  queue.push(0, 5.0);
-  queue.push(1, 50.0);
-  queue.push(2, 0.5);
-  queue.seal();
-  EXPECT_EQ(queue.pop(), 0u);
-  EXPECT_EQ(queue.pop(), 1u);
-  EXPECT_EQ(queue.pop(), 2u);
-  EXPECT_EQ(queue.pop(), std::nullopt);
-}
-
-TEST(WorkQueue, LjfPopsByDescendingCostWithIndexTiebreak) {
-  WorkQueue queue(SchedulePolicy::kLjf);
-  queue.push(0, 1.0);
-  queue.push(1, 9.0);
-  queue.push(2, 1.0);
-  queue.push(3, 100.0);
-  queue.push(4, 9.0);
-  queue.seal();
-  std::vector<std::size_t> order;
-  while (const auto i = queue.pop()) order.push_back(*i);
-  EXPECT_EQ(order, (std::vector<std::size_t>{3, 1, 4, 0, 2}));
-}
-
-/// Builds a WorkItem inline; kNoDeadline / priority 1 defaults apply.
-WorkItem item(std::size_t index, double cost, double deadline = kNoDeadline,
-              double priority = 1.0) {
-  WorkItem out;
-  out.index = index;
-  out.cost = cost;
-  out.deadline = deadline;
-  out.priority = priority;
-  return out;
-}
-
-std::vector<std::size_t> drain(WorkQueue& queue) {
-  queue.seal();
-  std::vector<std::size_t> order;
-  while (const auto i = queue.pop()) order.push_back(*i);
-  return order;
-}
-
-TEST(WorkQueue, EdfPopsByAscendingDeadlineWithDeadlineFreeLast) {
-  WorkQueue queue(SchedulePolicy::kEdf);
-  queue.push(item(0, 9.0));             // no deadline: after every deadlined job
-  queue.push(item(1, 1.0, 5.0));
-  queue.push(item(2, 1.0, 0.5));
-  queue.push(item(3, 1.0, 5.0));        // ties 1 on deadline: index breaks it
-  queue.push(item(4, 50.0, 2.0));
-  queue.push(item(5, 1.0));             // ties 0 at kNoDeadline: index again
-  EXPECT_EQ(drain(queue), (std::vector<std::size_t>{2, 4, 1, 3, 0, 5}));
-}
-
-TEST(WorkQueue, PriorityPopsByAscendingCostOverPriorityRatio) {
-  WorkQueue queue(SchedulePolicy::kPriority);
-  queue.push(item(0, 8.0, kNoDeadline, 1.0));  // ratio 8
-  queue.push(item(1, 8.0, kNoDeadline, 4.0));  // ratio 2
-  queue.push(item(2, 1.0, kNoDeadline, 1.0));  // ratio 1
-  queue.push(item(3, 4.0, kNoDeadline, 2.0));  // ratio 2: ties 1, index breaks
-  queue.push(item(4, 2.0, kNoDeadline, 0.25)); // ratio 8: ties 0, index breaks
-  EXPECT_EQ(drain(queue), (std::vector<std::size_t>{2, 1, 3, 0, 4}));
-}
-
-TEST(WorkQueue, SrptPopsByAscendingCostWithIndexTiebreak) {
-  WorkQueue queue(SchedulePolicy::kSrpt);
-  queue.push(item(0, 9.0));
-  queue.push(item(1, 1.0));
-  queue.push(item(2, 100.0));
-  queue.push(item(3, 1.0));  // ties 1: index breaks it
-  queue.push(item(4, 0.5));
-  EXPECT_EQ(drain(queue), (std::vector<std::size_t>{4, 1, 3, 0, 2}));
-}
-
-TEST(WorkQueue, PushRejectsUnusableItems) {
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  const double inf = std::numeric_limits<double>::infinity();
-  WorkQueue queue(SchedulePolicy::kEdf);
-  EXPECT_THROW(queue.push(item(0, -1.0)), InvalidArgument);        // cost < 0
-  EXPECT_THROW(queue.push(item(0, inf)), InvalidArgument);         // cost inf
-  EXPECT_THROW(queue.push(item(0, nan)), InvalidArgument);         // cost NaN
-  EXPECT_THROW(queue.push(item(0, 1.0, nan)), InvalidArgument);    // deadline NaN
-  EXPECT_THROW(queue.push(item(0, 1.0, 0.0)), InvalidArgument);    // deadline 0
-  EXPECT_THROW(queue.push(item(0, 1.0, -2.0)), InvalidArgument);   // deadline < 0
-  EXPECT_THROW(queue.push(item(0, 1.0, 1.0, 0.0)), InvalidArgument);   // prio 0
-  EXPECT_THROW(queue.push(item(0, 1.0, 1.0, -1.0)), InvalidArgument);  // prio < 0
-  EXPECT_THROW(queue.push(item(0, 1.0, 1.0, inf)), InvalidArgument);   // prio inf
-  EXPECT_THROW(queue.push(item(0, 1.0, 1.0, nan)), InvalidArgument);   // prio NaN
-  // kNoDeadline (+inf) is the explicit "no deadline" value, not misuse.
-  queue.push(item(0, 1.0, kNoDeadline));
-  queue.seal();
-  EXPECT_EQ(queue.pop(), 0u);  // none of the rejected pushes got in
-  EXPECT_EQ(queue.pop(), std::nullopt);
-}
-
-TEST(WorkQueue, GuardsAgainstMisuse) {
-  WorkQueue queue;
-  queue.push(0, 1.0);
-  EXPECT_THROW(queue.pop(), InvalidArgument);  // pop before seal
-  queue.seal();
-  EXPECT_THROW(queue.push(1, 1.0), InvalidArgument);  // push after seal
-  EXPECT_THROW(queue.seal(), InvalidArgument);        // double seal
 }
 
 TEST(ResultMemo, Fnv1a64ReferenceVectors) {
@@ -387,10 +244,6 @@ struct FakeBatch {
     for (std::size_t i = 0; i < payloads.size(); ++i) {
       if (keyed) out[i].memo_key = payloads[i];
       out[i].cost = static_cast<double>(payloads[i].size());
-      // Deterministic SLO spread so edf/priority actually reorder:
-      // every third job carries a deadline, priorities cycle 1..4.
-      if (i % 3 == 0) out[i].deadline = 1.0 + static_cast<double>(i % 5);
-      out[i].priority = 1.0 + static_cast<double>(i % 4);
     }
     return out;
   }
@@ -428,8 +281,7 @@ TEST(Engine, OutputBytesInvariantAcrossThreadsPolicyAndDedup) {
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     for (const SchedulePolicy policy :
-         {SchedulePolicy::kFifo, SchedulePolicy::kLjf, SchedulePolicy::kEdf,
-          SchedulePolicy::kPriority, SchedulePolicy::kSrpt}) {
+         {SchedulePolicy::kFifo, SchedulePolicy::kLjf}) {
       for (const bool dedup : {true, false}) {
         EngineOptions options;
         options.threads = threads;
@@ -440,6 +292,60 @@ TEST(Engine, OutputBytesInvariantAcrossThreadsPolicyAndDedup) {
             << schedule_policy_name(policy) << " dedup=" << dedup;
       }
     }
+  }
+}
+
+/// The order execute() is called in under `policy` on one worker — the
+/// engine's start order, observable because one worker runs inline.
+std::vector<std::size_t> start_order(const std::vector<double>& costs,
+                                     SchedulePolicy policy) {
+  std::vector<Job> jobs(costs.size());
+  for (std::size_t i = 0; i < costs.size(); ++i) jobs[i].cost = costs[i];
+  std::ostringstream out;
+  OrderedWriter writer(out, jobs.size());
+  EngineOptions options;
+  options.threads = 1;
+  options.policy = policy;
+  std::vector<std::size_t> order;
+  run_batch(
+      jobs,
+      [&](std::size_t i) {
+        order.push_back(i);
+        return std::string("r");
+      },
+      writer, options);
+  return order;
+}
+
+TEST(Engine, FifoStartsJobsInInputOrder) {
+  EXPECT_EQ(start_order({5.0, 50.0, 0.5}, SchedulePolicy::kFifo),
+            (std::vector<std::size_t>{0, 1, 2}));
+}
+
+TEST(Engine, LjfStartsJobsByDescendingCostWithIndexTiebreak) {
+  EXPECT_EQ(start_order({1.0, 9.0, 1.0, 100.0, 9.0}, SchedulePolicy::kLjf),
+            (std::vector<std::size_t>{3, 1, 4, 0, 2}));
+}
+
+TEST(Engine, RejectsUnusableJobCosts) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double cost : {-1.0, inf, nan}) {
+    std::vector<Job> jobs(2);
+    jobs[1].cost = cost;
+    std::ostringstream out;
+    OrderedWriter writer(out, jobs.size());
+    bool executed = false;
+    EXPECT_THROW(run_batch(
+                     jobs,
+                     [&](std::size_t) {
+                       executed = true;
+                       return std::string("r");
+                     },
+                     writer),
+                 InvalidArgument)
+        << "cost " << cost;
+    EXPECT_FALSE(executed) << "cost " << cost;  // rejected before any run
   }
 }
 

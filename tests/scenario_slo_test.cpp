@@ -15,9 +15,8 @@
 // so even the tight deadlines read as met — cache hits are "instant".
 //
 // The other half of this file is the hard serve invariant extended to
-// the new machinery: output bytes identical across {1,4} threads ×
-// all five registered policies × {calibrator, none}, on the SAME
-// deadlined stream.
+// the deadlined stream: output bytes and the deadline scoreboard
+// identical across {1,4} threads × {fifo, ljf} × {calibrator, none}.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -26,17 +25,17 @@
 
 #include "dispatch/calibrator.hpp"
 #include "dispatch/result_memo.hpp"
-#include "dispatch/work_queue.hpp"
 #include "gen/generator.hpp"
 #include "scenario/request.hpp"
 #include "scenario/serve.hpp"
+#include "util/error.hpp"
 #include "util/json.hpp"
 
 namespace thermo::scenario {
 namespace {
 
 /// The canonical deadlined stream: small sizes (zipf 1.5 keeps whales
-/// away so the 20-config sweep stays fast), duplicates in the mix so
+/// away so the 8-config sweep stays fast), duplicates in the mix so
 /// within-batch inheritance is exercised, half the fresh lines
 /// deadlined.
 gen::GeneratedStream deadlined_stream() {
@@ -137,23 +136,24 @@ TEST(ServeSlo, ByteIdenticalAcrossThreadsPoliciesAndCalibration) {
   const RunOutput reference = run_serve(input, reference_options, runner);
   ASSERT_EQ(reference.summary.failed, 0u);
 
-  for (const std::string& policy : dispatch::registered_schedule_policies()) {
-    const auto builtin = dispatch::schedule_policy_from_name(policy);
-    if (!builtin) continue;  // other suites may have registered test policies
+  for (const dispatch::SchedulePolicy policy :
+       {dispatch::SchedulePolicy::kFifo, dispatch::SchedulePolicy::kLjf}) {
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
       for (const bool calibrate : {false, true}) {
         dispatch::CostCalibrator calibrator;
         ServeOptions options;
-        options.policy = *builtin;
+        options.policy = policy;
         options.threads = threads;
         options.calibrator = calibrate ? &calibrator : nullptr;
         const RunOutput run = run_serve(input, options, runner);
         EXPECT_EQ(run.records, reference.records)
-            << "policy=" << policy << " threads=" << threads
+            << "policy=" << dispatch::schedule_policy_name(policy)
+            << " threads=" << threads
             << " calibrate=" << calibrate;
         EXPECT_EQ(run.summary.deadline_missed,
                   reference.summary.deadline_missed)
-            << "policy=" << policy << " threads=" << threads
+            << "policy=" << dispatch::schedule_policy_name(policy)
+            << " threads=" << threads
             << " calibrate=" << calibrate;
         if (calibrate) {
           EXPECT_TRUE(run.summary.calibration_enabled);
@@ -165,6 +165,37 @@ TEST(ServeSlo, ByteIdenticalAcrossThreadsPoliciesAndCalibration) {
       }
     }
   }
+}
+
+TEST(ServeSlo, SloFieldsParseValidateAndStayOutOfTheMemoKey) {
+  // No policy reads deadline_s or priority, but requests carrying them
+  // must still parse, be validated, and dedup against each other.
+  const ScenarioRequest parsed = parse_request_line(
+      R"({"id":"a","deadline_s":0.5,"priority":3,"stcl":40})");
+  EXPECT_EQ(parsed.deadline_s, 0.5);
+  EXPECT_EQ(parsed.priority, 3.0);
+  for (const char* bad :
+       {R"({"priority":0})", R"({"priority":-1})", R"({"priority":"hi"})",
+        R"({"deadline_s":0})", R"({"deadline_s":-2})"}) {
+    EXPECT_THROW(parse_request_line(bad), Error) << bad;
+  }
+
+  // Same id and scenario, different SLO envelopes: one execution, and
+  // every record is the bare request's record.
+  const std::string bare = R"({"id":"a","stcl":40})";
+  const std::string input = bare + "\n" +
+                            R"({"id":"a","stcl":40,"deadline_s":1e6})" +
+                            "\n" +
+                            R"({"id":"a","stcl":40,"priority":4})" + "\n";
+  ScenarioRunner runner;
+  ServeOptions options;
+  options.threads = 1;
+  const RunOutput run = run_serve(input, options, runner);
+  EXPECT_EQ(run.summary.failed, 0u);
+  EXPECT_EQ(run.summary.executed, 1u);
+  EXPECT_EQ(run.summary.memo_hits, 2u);
+  const RunOutput alone = run_serve(bare + "\n", options, runner);
+  EXPECT_EQ(run.records, alone.records + alone.records + alone.records);
 }
 
 TEST(ServeSlo, SummaryJsonCarriesSloAndCalibrationSections) {

@@ -1,194 +1,167 @@
-// ScenarioSweep: results must be bit-identical for 1 and N threads, must
-// match the direct (unswept) solver calls, and per-scenario failures
-// must be captured without poisoning the batch. Plus ThreadPool basics.
-#include "sweep/scenario_sweep.hpp"
+// sweep::for_each_in_order, the one parallel executor: every item runs
+// exactly once, one worker runs inline in the given order, index-placed
+// results come back in index order, an exception propagates at any thread
+// count and the first one surfaces only after every worker has joined, an
+// empty order is a no-op, and threads = 0 still starts at least one thread.
+#include "sweep/parallel_for.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
-#include <memory>
+#include <chrono>
+#include <numeric>
 #include <stdexcept>
+#include <thread>
+#include <vector>
 
-#include "sweep/thread_pool.hpp"
-#include "test_helpers.hpp"
-#include "thermal/analyzer.hpp"
-#include "thermal/transient.hpp"
-#include "util/error.hpp"
+#include "obs/metrics.hpp"
 
 namespace thermo::sweep {
 namespace {
 
-using thermo::testing::nine_floorplan;
-
-std::vector<PowerScenario> mixed_scenarios(std::size_t blocks) {
-  std::vector<PowerScenario> scenarios;
-  for (std::size_t i = 0; i < 12; ++i) {
-    PowerScenario s;
-    s.name = "case" + std::to_string(i);
-    s.block_power.assign(blocks, 0.0);
-    for (std::size_t b = i % 3; b < blocks; b += 1 + i % 4) {
-      s.block_power[b] = 2.0 + 0.5 * static_cast<double>(i);
-    }
-    s.duration = (i % 3 == 0) ? 0.01 : 0.0;  // mix transient and steady
-    scenarios.push_back(std::move(s));
-  }
-  return scenarios;
+std::vector<std::size_t> iota(std::size_t n) {
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  return order;
 }
 
-class ScenarioSweepTest : public ::testing::Test {
- protected:
-  thermal::RCModel model_{nine_floorplan(), thermal::PackageParams{}};
-};
-
-TEST_F(ScenarioSweepTest, OneAndManyThreadsProduceIdenticalResults) {
-  const auto scenarios = mixed_scenarios(model_.block_count());
-
-  SweepOptions serial_options;
-  serial_options.threads = 1;
-  SweepOptions parallel_options;
-  parallel_options.threads = 4;
-  const auto serial = ScenarioSweep(serial_options).run(model_, scenarios);
-  const auto parallel = ScenarioSweep(parallel_options).run(model_, scenarios);
-
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].name, scenarios[i].name);  // index order preserved
-    EXPECT_TRUE(serial[i].ok);
-    EXPECT_TRUE(parallel[i].ok);
-    ASSERT_EQ(serial[i].block_peak.size(), parallel[i].block_peak.size());
-    for (std::size_t b = 0; b < serial[i].block_peak.size(); ++b) {
-      // Shared factor + independent back-substitution: bitwise equal.
-      EXPECT_DOUBLE_EQ(serial[i].block_peak[b], parallel[i].block_peak[b]);
-    }
-    EXPECT_DOUBLE_EQ(serial[i].max_temperature, parallel[i].max_temperature);
-    EXPECT_EQ(serial[i].hottest_block, parallel[i].hottest_block);
-  }
-}
-
-TEST_F(ScenarioSweepTest, SteadyScenarioMatchesDirectSolve) {
-  PowerScenario scenario;
-  scenario.name = "steady";
-  scenario.block_power.assign(model_.block_count(), 0.0);
-  scenario.block_power[4] = 10.0;
-
-  const auto outcomes = ScenarioSweep().run(model_, {scenario});
-  ASSERT_EQ(outcomes.size(), 1u);
-  ASSERT_TRUE(outcomes[0].ok);
-
-  const thermal::SteadyStateResult direct =
-      thermal::solve_steady_state(model_, scenario.block_power);
-  for (std::size_t b = 0; b < model_.block_count(); ++b) {
-    EXPECT_DOUBLE_EQ(outcomes[0].block_peak[b], direct.temperature[b]);
-  }
-  EXPECT_EQ(outcomes[0].hottest_block, 4u);
-}
-
-TEST_F(ScenarioSweepTest, TransientScenarioMatchesDirectSimulation) {
-  PowerScenario scenario;
-  scenario.name = "transient";
-  scenario.block_power.assign(model_.block_count(), 0.0);
-  scenario.block_power[0] = 12.0;
-  scenario.duration = 0.02;
-
-  SweepOptions options;
-  options.dt = 1e-3;
-  const auto outcomes = ScenarioSweep(options).run(model_, {scenario});
-  ASSERT_EQ(outcomes.size(), 1u);
-  ASSERT_TRUE(outcomes[0].ok);
-
-  thermal::TransientOptions topt;
-  topt.dt = options.dt;
-  const thermal::TransientResult direct = thermal::simulate_transient(
-      model_, scenario.block_power, scenario.duration,
-      thermal::ambient_state(model_), topt);
-  for (std::size_t b = 0; b < model_.block_count(); ++b) {
-    EXPECT_DOUBLE_EQ(outcomes[0].block_peak[b], direct.peak_temperature[b]);
-  }
-}
-
-TEST_F(ScenarioSweepTest, BadScenarioIsCapturedWithoutPoisoningTheBatch) {
-  auto scenarios = mixed_scenarios(model_.block_count());
-  scenarios[3].block_power.resize(2);  // wrong size: solver must reject
-
-  const auto outcomes = ScenarioSweep().run(model_, scenarios);
-  ASSERT_EQ(outcomes.size(), scenarios.size());
-  EXPECT_FALSE(outcomes[3].ok);
-  EXPECT_FALSE(outcomes[3].error.empty());
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    if (i != 3) {
-      EXPECT_TRUE(outcomes[i].ok) << "scenario " << i << ": "
-                                  << outcomes[i].error;
+TEST(ForEachInOrder, EveryIndexRunsExactlyOnce) {
+  for (const std::size_t threads : {1, 2, 4, 8}) {
+    std::vector<std::size_t> order = iota(500);
+    std::reverse(order.begin(), order.end());
+    std::vector<std::atomic<int>> calls(order.size());
+    for_each_in_order(order, threads, [&](std::size_t i) { ++calls[i]; });
+    for (std::size_t i = 0; i < calls.size(); ++i) {
+      EXPECT_EQ(calls[i].load(), 1) << "index " << i << ", " << threads
+                                    << " threads";
     }
   }
 }
 
-TEST_F(ScenarioSweepTest, MapReturnsResultsInIndexOrder) {
-  SweepOptions options;
-  options.threads = 4;
-  const auto squares =
-      ScenarioSweep(options).map(100, [](std::size_t i) { return i * i; });
-  ASSERT_EQ(squares.size(), 100u);
+TEST(ForEachInOrder, OneThreadRunsInlineInTheGivenOrder) {
+  const std::vector<std::size_t> order = {3, 1, 4, 0, 2};
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> seen;
+  bool inline_only = true;
+  for_each_in_order(order, 1, [&](std::size_t i) {
+    inline_only = inline_only && std::this_thread::get_id() == caller;
+    seen.push_back(i);
+  });
+  EXPECT_TRUE(inline_only);
+  EXPECT_EQ(seen, order);
+
+  // A single item runs inline whatever the thread request.
+  seen.clear();
+  for_each_in_order(std::vector<std::size_t>{7}, 8, [&](std::size_t i) {
+    inline_only = inline_only && std::this_thread::get_id() == caller;
+    seen.push_back(i);
+  });
+  EXPECT_TRUE(inline_only);
+  EXPECT_EQ(seen, std::vector<std::size_t>{7});
+
+  // Inline, an exception stops the loop at the throwing item.
+  seen.clear();
+  EXPECT_THROW(for_each_in_order(order, 1,
+                                 [&](std::size_t i) {
+                                   if (i == 4) throw std::runtime_error("x");
+                                   seen.push_back(i);
+                                 }),
+               std::runtime_error);
+  EXPECT_EQ(seen, (std::vector<std::size_t>{3, 1}));
+}
+
+TEST(ForEachInOrder, ResultsPlacedByIndexComeBackInIndexOrder) {
+  // The callers' pattern: each item writes its own slot, so the output
+  // is in index order whatever order the workers finish in.
+  std::vector<std::size_t> order = iota(100);
+  std::reverse(order.begin(), order.end());
+  std::vector<std::size_t> squares(order.size());
+  for_each_in_order(order, 4, [&](std::size_t i) { squares[i] = i * i; });
   for (std::size_t i = 0; i < squares.size(); ++i) {
     EXPECT_EQ(squares[i], i * i);
   }
 }
 
-TEST_F(ScenarioSweepTest, MapPropagatesExceptions) {
-  SweepOptions options;
-  options.threads = 2;
-  const ScenarioSweep sweeper(options);
-  EXPECT_THROW(sweeper.map(8,
-                           [](std::size_t i) -> int {
-                             if (i == 5) throw std::runtime_error("boom");
-                             return 0;
-                           }),
-               std::runtime_error);
-}
-
-TEST_F(ScenarioSweepTest, AnalyzersSharingAModelShareFactors) {
-  // The pattern the examples and `thermosched sweep` rely on: analyzers
-  // are per-thread, the model (and thus the cached factors) is shared.
-  const auto model = std::make_shared<const thermal::RCModel>(
-      nine_floorplan(), thermal::PackageParams{});
-  SweepOptions options;
-  options.threads = 3;
-  const auto peaks =
-      ScenarioSweep(options).map(6, [&](std::size_t i) {
-        thermal::ThermalAnalyzer analyzer(model);
-        std::vector<double> power(model->block_count(), 0.0);
-        power[i % model->block_count()] = 10.0;
-        return analyzer.simulate_session(power, 0.01).max_temperature;
-      });
-  // Same power pattern (indices 0..5 hit distinct blocks) — just assert
-  // the fan-out ran and produced sane temperatures above ambient.
-  for (double peak : peaks) EXPECT_GT(peak, 45.0);
-}
-
-TEST(ThreadPoolTest, RunsAllSubmittedTasks) {
-  ThreadPool pool(3);
-  EXPECT_EQ(pool.size(), 3u);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 50; ++i) {
-    pool.submit([&count] { ++count; });
+TEST(ForEachInOrder, ExceptionPropagatesAtEveryThreadCount) {
+  for (const std::size_t threads : {0, 1, 2, 8}) {
+    EXPECT_THROW(for_each_in_order(iota(8), threads,
+                                   [](std::size_t i) {
+                                     if (i == 5) {
+                                       throw std::runtime_error("boom");
+                                     }
+                                   }),
+                 std::runtime_error)
+        << threads << " threads";
   }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 50);
 }
 
-TEST(ThreadPoolTest, WaitIdleRethrowsFirstTaskException) {
-  ThreadPool pool(2);
-  pool.submit([] { throw std::runtime_error("task failed"); });
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-  // The pool remains usable afterwards.
-  std::atomic<int> count{0};
-  pool.submit([&count] { ++count; });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 1);
+TEST(ForEachInOrder, FirstExceptionIsRethrownAfterEveryWorkerJoins) {
+  constexpr std::size_t kItems = 64;
+  std::atomic<int> in_flight{0};
+  std::atomic<std::size_t> completed{0};
+  try {
+    for_each_in_order(iota(kItems), 4, [&](std::size_t i) {
+      ++in_flight;
+      if (i == 5) {
+        --in_flight;
+        throw std::runtime_error("item 5 failed");
+      }
+      // Slow enough that an early rethrow would catch workers mid-item.
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      ++completed;
+      --in_flight;
+    });
+    FAIL() << "expected the item-5 exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "item 5 failed");
+  }
+  // Only the throwing worker stopped: the others drained every other
+  // item, and none was still running when the exception surfaced.
+  EXPECT_EQ(in_flight.load(), 0);
+  EXPECT_EQ(completed.load(), kItems - 1);
 }
 
-TEST(ThreadPoolTest, DefaultSizeIsAtLeastOne) {
-  ThreadPool pool;
-  EXPECT_GE(pool.size(), 1u);
+TEST(ForEachInOrder, EmptyOrderDoesNothing) {
+  for (const std::size_t threads : {0, 1, 4}) {
+    bool called = false;
+    for_each_in_order({}, threads, [&](std::size_t) { called = true; });
+    EXPECT_FALSE(called) << threads << " threads";
+    EXPECT_EQ(worker_count(threads, 0), 0u);
+  }
+}
+
+TEST(ForEachInOrder, ZeroThreadsUsesAtLeastOneThread) {
+  EXPECT_GE(worker_count(0, 1000), 1u);
+  EXPECT_EQ(worker_count(0, 1), 1u);
+  EXPECT_EQ(worker_count(3, 1000), 3u);
+  EXPECT_EQ(worker_count(8, 2), 2u);  // capped by the item count
+  std::atomic<std::size_t> calls{0};
+  for_each_in_order(iota(100), 0, [&](std::size_t) { ++calls; });
+  EXPECT_EQ(calls.load(), 100u);
+}
+
+TEST(ForEachInOrder, RecordsTaskMetricsOncePerWorker) {
+  auto& registry = obs::MetricsRegistry::instance();
+  obs::Counter& tasks = registry.counter("sweep.tasks");
+  obs::Counter& busy = registry.counter("sweep.worker.2.busy_ns");
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  const std::uint64_t tasks_before = tasks.value();
+  const std::uint64_t busy_before = busy.value();
+  for_each_in_order(iota(40), 3, [](std::size_t) {
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  });
+  const std::uint64_t threaded_tasks = tasks.value() - tasks_before;
+  const std::uint64_t busy_added = busy.value() - busy_before;
+  // Inline runs start no worker and record nothing.
+  for_each_in_order(iota(40), 1, [](std::size_t) {});
+  const std::uint64_t inline_tasks =
+      tasks.value() - tasks_before - threaded_tasks;
+  obs::set_enabled(was_enabled);
+  EXPECT_EQ(threaded_tasks, 3u);
+  EXPECT_GT(busy_added, 0u);
+  EXPECT_EQ(inline_tasks, 0u);
 }
 
 }  // namespace

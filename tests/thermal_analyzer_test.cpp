@@ -2,12 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <thread>
+#include <vector>
+
 #include "test_helpers.hpp"
 #include "util/error.hpp"
 
 namespace thermo::thermal {
 namespace {
 
+using thermo::testing::nine_floorplan;
 using thermo::testing::quad_floorplan;
 
 class AnalyzerTest : public ::testing::Test {
@@ -78,6 +83,38 @@ TEST_F(AnalyzerTest, ValidatesInputs) {
   ThermalAnalyzer::Options bad;
   bad.dt = 0.0;
   EXPECT_THROW(ThermalAnalyzer(fp_, pkg_, bad), InvalidArgument);
+}
+
+TEST_F(AnalyzerTest, AnalyzersSharingAModelShareFactors) {
+  // The pattern core::sweep_stcl and the serve workers rely on:
+  // analyzers are per-thread, the model (and thus the cached factors)
+  // is shared. Concurrent per-thread analyzers must reproduce what one
+  // analyzer on the same model computes serially.
+  const auto model =
+      std::make_shared<const RCModel>(nine_floorplan(), PackageParams{});
+  const auto peak_for = [&](ThermalAnalyzer& analyzer, std::size_t i) {
+    std::vector<double> power(model->block_count(), 0.0);
+    power[i % model->block_count()] = 10.0;
+    return analyzer.simulate_session(power, 0.01).max_temperature;
+  };
+  constexpr std::size_t kRuns = 6;
+  std::vector<double> parallel(kRuns, 0.0);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < 3; ++t) {
+    threads.emplace_back([&, t] {
+      ThermalAnalyzer analyzer(model);
+      for (std::size_t i = t; i < kRuns; i += 3) {
+        parallel[i] = peak_for(analyzer, i);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  ThermalAnalyzer serial(model);
+  for (std::size_t i = 0; i < kRuns; ++i) {
+    EXPECT_GT(parallel[i], 45.0);  // sane: above ambient
+    EXPECT_DOUBLE_EQ(parallel[i], peak_for(serial, i)) << "run " << i;
+  }
 }
 
 }  // namespace
