@@ -13,9 +13,9 @@
 // restart replaying a batch — carries identical bytes.
 //
 // The disk store is stamped with kResultSchemaRevision. Bump it whenever
-// the serve record format changes; an old cache directory is then wiped
-// on open (SchemaPolicy::kWipeOnMismatch) instead of serving records the
-// new code would misinterpret.
+// the serve record format or the computed values change; an old cache
+// directory is then wiped on open (SchemaPolicy::kWipeOnMismatch)
+// instead of serving records the new code would not have written.
 #pragma once
 
 #include <atomic>
@@ -30,9 +30,12 @@
 namespace thermo::dispatch {
 
 /// Payload schema revision of serve result records. Bump on any change
-/// to the canonical request serialization (the keys) or the JSONL
-/// result-line format (the values).
-inline constexpr std::uint32_t kResultSchemaRevision = 1;
+/// to the canonical request serialization (the keys), the JSONL
+/// result-line format, or the numbers a record carries (the values).
+/// Revision 2: transient session validation superposes unit responses
+/// (thermal/unit_response.hpp), which moves the trailing digits of
+/// temperatures; a revision-1 directory would serve the old digits.
+inline constexpr std::uint32_t kResultSchemaRevision = 2;
 
 class DiskResultMemo final : public ResultMemo {
  public:

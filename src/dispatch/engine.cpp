@@ -5,6 +5,9 @@
 #include <cmath>
 #include <cstdint>
 #include <ctime>
+#include <functional>
+#include <numeric>
+#include <queue>
 #include <string_view>
 #include <unordered_map>
 #include <utility>
@@ -77,6 +80,43 @@ std::optional<SchedulePolicy> schedule_policy_from_name(std::string_view name) {
   return std::nullopt;
 }
 
+void sort_for_policy(std::vector<std::size_t>& order,
+                     const std::vector<double>& costs, SchedulePolicy policy) {
+  if (policy != SchedulePolicy::kLjf) return;
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return costs[a] > costs[b];
+                   });
+}
+
+double virtual_makespan(const std::vector<double>& costs,
+                        const std::vector<std::size_t>& order,
+                        std::size_t threads) {
+  if (order.empty()) return 0.0;
+  // Min-heap of the times the workers fall free.
+  std::priority_queue<double, std::vector<double>, std::greater<>> free_at;
+  for (std::size_t w = 0; w < sweep::worker_count(threads, order.size()); ++w) {
+    free_at.push(0.0);
+  }
+  double makespan = 0.0;
+  for (const std::size_t job : order) {
+    const double done = free_at.top() + costs[job];
+    free_at.pop();
+    free_at.push(done);
+    makespan = std::max(makespan, done);
+  }
+  return makespan;
+}
+
+bool beats_input_order(const std::vector<double>& costs,
+                       const std::vector<std::size_t>& order,
+                       std::size_t threads) {
+  std::vector<std::size_t> input(costs.size());
+  std::iota(input.begin(), input.end(), std::size_t{0});
+  return virtual_makespan(costs, order, threads) <
+         virtual_makespan(costs, input, threads);
+}
+
 EngineStats run_batch(const std::vector<Job>& jobs,
                       const std::function<std::string(std::size_t)>& execute,
                       OrderedWriter& writer, const EngineOptions& options) {
@@ -130,14 +170,11 @@ EngineStats run_batch(const std::vector<Job>& jobs,
   }
 
   if (options.policy == SchedulePolicy::kLjf) {
-    // stable_sort over input order: equal costs keep ascending input
-    // index, so the start order is a pure function of the batch.
     obs::TraceSpan sort_span("dispatch.policy_sort");
     obs::ScopedTimer sort_timer(metrics.policy_sort_ns);
-    std::stable_sort(scheduled.begin(), scheduled.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return jobs[a].cost > jobs[b].cost;
-                     });
+    std::vector<double> costs(n);
+    for (std::size_t i = 0; i < n; ++i) costs[i] = jobs[i].cost;
+    sort_for_policy(scheduled, costs, options.policy);
   }
 
   // Execution-window origin: done_seconds and the makespan share this

@@ -67,6 +67,30 @@ const char* schedule_policy_name(SchedulePolicy policy);
 /// (the serve flag, bench) own their error reporting.
 std::optional<SchedulePolicy> schedule_policy_from_name(std::string_view name);
 
+/// Puts `order` (job indices into `costs`) into `policy`'s execution
+/// start order: fifo leaves it as given; ljf stable-sorts it by
+/// descending cost, so equal costs keep their relative order and the
+/// result is a pure function of the inputs. run_batch orders its
+/// scheduled jobs with exactly this.
+void sort_for_policy(std::vector<std::size_t>& order,
+                     const std::vector<double>& costs, SchedulePolicy policy);
+
+/// Makespan of starting `order` on `threads` identical workers (0 =
+/// hardware concurrency, capped at the job count) when job i takes
+/// costs[i] time units and each freed worker takes the next job in
+/// order — the greedy list schedule sweep::for_each_in_order follows,
+/// played on a virtual clock. Deterministic, unlike a timed makespan.
+double virtual_makespan(const std::vector<double>& costs,
+                        const std::vector<std::size_t>& order,
+                        std::size_t threads);
+
+/// bench_dispatch's placement gate: true when starting `order` ends
+/// strictly before input order on the virtual clock. ljf's order passes
+/// on a whale-last batch; a broken ljf that keeps input order fails.
+bool beats_input_order(const std::vector<double>& costs,
+                       const std::vector<std::size_t>& order,
+                       std::size_t threads);
+
 /// One unit of batch work, as the front-end describes it. The engine
 /// never inspects record contents; everything it needs is here.
 struct Job {

@@ -49,9 +49,16 @@ LuDecomposition::LuDecomposition(const DenseMatrix& a) : lu_(a) {
 Vector LuDecomposition::solve(const Vector& b) const {
   const std::size_t n = size();
   THERMO_REQUIRE(b.size() == n, "LU solve: rhs size mismatch");
-  // Apply permutation, forward substitution with unit-lower L.
   Vector y(n);
   for (std::size_t i = 0; i < n; ++i) y[i] = b[perm_[i]];
+  substitute_in_place(y);
+  return y;
+}
+
+void LuDecomposition::substitute_in_place(Vector& y) const {
+  const std::size_t n = size();
+  THERMO_REQUIRE(y.size() == n, "LU solve: rhs size mismatch");
+  // Forward substitution with unit-lower L.
   for (std::size_t i = 0; i < n; ++i) {
     double sum = y[i];
     for (std::size_t j = 0; j < i; ++j) sum -= lu_(i, j) * y[j];
@@ -63,7 +70,6 @@ Vector LuDecomposition::solve(const Vector& b) const {
     for (std::size_t j = ii + 1; j < n; ++j) sum -= lu_(ii, j) * y[j];
     y[ii] = sum / lu_(ii, ii);
   }
-  return y;
 }
 
 DenseMatrix LuDecomposition::solve(const DenseMatrix& b) const {

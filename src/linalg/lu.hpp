@@ -35,6 +35,15 @@ class LuDecomposition {
   /// Solves A x = b (reusable, thread-safe).
   Vector solve(const Vector& b) const;
 
+  /// Row permutation of the factorization: row i of L·U is row
+  /// permutation()[i] of A.
+  const std::vector<std::size_t>& permutation() const { return perm_; }
+
+  /// Allocation-free solve for callers that gather the right-hand side
+  /// themselves: on entry x[i] = b[permutation()[i]], on exit x = A⁻¹ b.
+  /// solve(b) is exactly this after the gather.
+  void substitute_in_place(Vector& x) const;
+
   /// Solves A X = B column-by-column.
   DenseMatrix solve(const DenseMatrix& b) const;
 

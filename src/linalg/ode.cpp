@@ -135,14 +135,25 @@ LinearImplicitStepper::LinearImplicitStepper(const DenseMatrix& g,
       }()) {}
 
 Vector LinearImplicitStepper::step(const Vector& y, const Vector& b) const {
+  Vector out;
+  step_into(y, b, out);
+  return out;
+}
+
+void LinearImplicitStepper::step_into(const Vector& y, const Vector& b,
+                                      Vector& out) const {
   THERMO_REQUIRE(y.size() == size(), "stepper: state size mismatch");
   THERMO_REQUIRE(b.size() == size(), "stepper: rhs size mismatch");
-  // (C/dt + G) y_next = C/dt y + b
-  Vector rhs(size());
-  for (std::size_t i = 0; i < size(); ++i) {
-    rhs[i] = capacitance_[i] / dt_ * y[i] + b[i];
+  THERMO_REQUIRE(&out != &y && &out != &b, "stepper: out must not alias");
+  // (C/dt + G) y_next = C/dt y + b, with the right-hand side gathered
+  // straight into the factor's row order.
+  out.resize(size());
+  const std::vector<std::size_t>& perm = factor_.permutation();
+  for (std::size_t k = 0; k < size(); ++k) {
+    const std::size_t i = perm[k];
+    out[k] = capacitance_[i] / dt_ * y[i] + b[i];
   }
-  return factor_.solve(rhs);
+  factor_.substitute_in_place(out);
 }
 
 }  // namespace thermo::linalg

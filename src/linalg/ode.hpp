@@ -62,6 +62,11 @@ class LinearImplicitStepper {
   /// Advances one step: returns y(t + dt) given y(t) and constant rhs b.
   Vector step(const Vector& y, const Vector& b) const;
 
+  /// step() without allocating: writes y(t + dt) into `out` (resized to
+  /// size() on first use; must not alias y or b). Same arithmetic in
+  /// the same order as step(), so the two agree bit for bit.
+  void step_into(const Vector& y, const Vector& b, Vector& out) const;
+
  private:
   Vector capacitance_;
   double dt_;

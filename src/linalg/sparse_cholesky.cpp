@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "linalg/ordering.hpp"
 #include "util/error.hpp"
@@ -25,6 +26,12 @@ SparseCholeskyFactor::SparseCholeskyFactor(const SparseMatrix& a,
     perm_ = min_degree_ordering(a);
     inv_perm_.assign(n_, 0);
     for (std::size_t k = 0; k < n_; ++k) inv_perm_[perm_[k]] = k;
+    std::vector<bool> seen(n_, false);
+    for (std::size_t k = 0; k < n_; ++k) {
+      if (seen[k] || perm_[k] == k) continue;
+      cycle_leaders_.push_back(k);
+      for (std::size_t j = k; !seen[j]; j = perm_[j]) seen[j] = true;
+    }
     // Assemble P·A·Pᵗ through the builder (A carries both triangles,
     // so the permuted matrix does too; no duplicates arise).
     SparseMatrix::Builder builder(n_, n_);
@@ -128,21 +135,16 @@ void SparseCholeskyFactor::factorize(const SparseMatrix& a) {
 
 Vector SparseCholeskyFactor::solve(const Vector& b) const {
   THERMO_REQUIRE(b.size() == n_, "sparse cholesky solve: size mismatch");
-  if (perm_.empty()) {
-    Vector x = b;
-    solve_in_place(x);
-    return x;
-  }
-  // Permute into factor order, substitute, permute back.
-  Vector px(n_);
-  for (std::size_t k = 0; k < n_; ++k) px[k] = b[perm_[k]];
-  solve_in_place(px);
   Vector x(n_);
-  for (std::size_t k = 0; k < n_; ++k) x[perm_[k]] = px[k];
+  for (std::size_t k = 0; k < n_; ++k) {
+    x[k] = perm_.empty() ? b[k] : b[perm_[k]];
+  }
+  substitute_in_place(x);
   return x;
 }
 
-void SparseCholeskyFactor::solve_in_place(Vector& x) const {
+void SparseCholeskyFactor::substitute_in_place(Vector& x) const {
+  THERMO_REQUIRE(x.size() == n_, "sparse cholesky solve: size mismatch");
   // L z = b (unit diagonal implicit).
   for (std::size_t j = 0; j < n_; ++j) {
     const double xj = x[j];
@@ -159,6 +161,15 @@ void SparseCholeskyFactor::solve_in_place(Vector& x) const {
       sum -= values_[q] * x[row_indices_[q]];
     }
     x[j] = sum;
+  }
+  // Scatter back to the original order, x[perm_[k]] = x[k], one cycle
+  // of the permutation at a time.
+  for (const std::size_t leader : cycle_leaders_) {
+    double carry = x[leader];
+    for (std::size_t dest = perm_[leader]; dest != leader; dest = perm_[dest]) {
+      std::swap(carry, x[dest]);
+    }
+    x[leader] = carry;
   }
 }
 
@@ -192,14 +203,25 @@ SparseImplicitStepper::SparseImplicitStepper(const SparseMatrix& g,
       }()) {}
 
 Vector SparseImplicitStepper::step(const Vector& y, const Vector& b) const {
+  Vector out;
+  step_into(y, b, out);
+  return out;
+}
+
+void SparseImplicitStepper::step_into(const Vector& y, const Vector& b,
+                                      Vector& out) const {
   THERMO_REQUIRE(y.size() == size(), "stepper: state size mismatch");
   THERMO_REQUIRE(b.size() == size(), "stepper: rhs size mismatch");
-  // (C/dt + G) y_next = C/dt y + b
-  Vector rhs(size());
-  for (std::size_t i = 0; i < size(); ++i) {
-    rhs[i] = capacitance_[i] / dt_ * y[i] + b[i];
+  THERMO_REQUIRE(&out != &y && &out != &b, "stepper: out must not alias");
+  // (C/dt + G) y_next = C/dt y + b, with the right-hand side gathered
+  // straight into the factor's elimination order.
+  out.resize(size());
+  const std::vector<std::size_t>& perm = factor_.permutation();
+  for (std::size_t k = 0; k < size(); ++k) {
+    const std::size_t i = perm.empty() ? k : perm[k];
+    out[k] = capacitance_[i] / dt_ * y[i] + b[i];
   }
-  return factor_.solve(rhs);
+  factor_.substitute_in_place(out);
 }
 
 }  // namespace thermo::linalg

@@ -85,14 +85,22 @@ class SparseCholeskyFactor {
   /// reusable, thread-safe). b and x are in the original index order.
   Vector solve(const Vector& b) const;
 
+  /// Allocation-free solve for callers that gather the right-hand side
+  /// themselves: on entry x[k] = b[permutation()[k]] (x = b when the
+  /// permutation is empty), on exit x = A⁻¹ b in the original order.
+  /// solve(b) is exactly this after the gather.
+  void substitute_in_place(Vector& x) const;
+
  private:
   void factorize(const SparseMatrix& a);
-  void solve_in_place(Vector& x) const;
 
   std::size_t n_ = 0;
   Ordering ordering_ = Ordering::kNatural;
   std::vector<std::size_t> perm_;      // position -> original index
   std::vector<std::size_t> inv_perm_;  // original index -> position
+  // Smallest index of every non-trivial cycle of perm_: lets
+  // substitute_in_place scatter x[perm_[k]] = x[k] without a buffer.
+  std::vector<std::size_t> cycle_leaders_;
   // L in compressed-sparse-column form, strictly lower triangle, row
   // indices increasing within each column (the natural order in which
   // the up-looking algorithm emits them).
@@ -121,6 +129,11 @@ class SparseImplicitStepper {
 
   /// Advances one step: returns y(t + dt) given y(t) and constant rhs b.
   Vector step(const Vector& y, const Vector& b) const;
+
+  /// step() without allocating: writes y(t + dt) into `out` (resized to
+  /// size() on first use; must not alias y or b). Same arithmetic in
+  /// the same order as step(), so the two agree bit for bit.
+  void step_into(const Vector& y, const Vector& b, Vector& out) const;
 
  private:
   Vector capacitance_;

@@ -1,7 +1,9 @@
 #include "thermal/analyzer.hpp"
 
 #include <algorithm>
+#include <cmath>
 
+#include "thermal/unit_response.hpp"
 #include "util/error.hpp"
 
 namespace thermo::thermal {
@@ -26,21 +28,24 @@ ThermalAnalyzer::ThermalAnalyzer(std::shared_ptr<const RCModel> model,
 
 SessionSimulation ThermalAnalyzer::simulate_session(
     const std::vector<double>& block_power, double duration) {
-  THERMO_REQUIRE(duration > 0.0, "session duration must be positive");
+  THERMO_REQUIRE(std::isfinite(duration) && duration > 0.0,
+                 "session duration must be positive and finite");
 
   SessionSimulation out;
   out.simulated_time = duration;
 
   if (options_.transient) {
-    TransientOptions topt;
-    topt.dt = options_.dt;
-    topt.backend = options_.backend;
-    const TransientResult result = simulate_transient(
-        *model_, block_power, duration, ambient_state(*model_), topt);
-    out.peak_temperature.assign(
-        result.peak_temperature.begin(),
-        result.peak_temperature.begin() +
-            static_cast<std::ptrdiff_t>(model_->block_count()));
+    // Superposition of cached unit responses (unit_response.hpp): the
+    // same backward-Euler answer as simulate_transient from ambient, up
+    // to summation order, and its end state is the peak.
+    model_->require_valid_power(block_power);
+    const SolverBackend backend =
+        resolve_backend(options_.backend, model_->node_count());
+    std::vector<double> rise = model_->unit_responses().rise(
+        *model_, backend, options_.dt, duration, block_power);
+    const double ambient = model_->package().ambient;
+    for (double& value : rise) value += ambient;
+    out.peak_temperature = std::move(rise);
   } else {
     out.peak_temperature = steady_block_temperatures(block_power);
   }

@@ -46,8 +46,9 @@ class ThermalAnalyzer {
                   Options options);
 
   /// Shares an existing model instead of building a private one. Because
-  /// cached factorizations are keyed by RCModel::identity(), analyzers
-  /// sharing one model also share its factors — this is how
+  /// cached factorizations are keyed by RCModel::identity() and unit
+  /// responses live in the model, analyzers sharing one model also share
+  /// its factors and responses — this is how
   /// core::sweep_stcl and the serve workers give every thread its own
   /// effort accounting (analyzers are not thread-safe) while the
   /// expensive factorizations are computed once. Throws InvalidArgument
@@ -61,7 +62,12 @@ class ThermalAnalyzer {
 
   /// Simulates a session: `block_power[i]` watts in every block for
   /// `duration` seconds starting from ambient. Adds `duration` to the
-  /// cumulative simulation effort.
+  /// cumulative simulation effort. In transient mode the answer is
+  /// superposed from the model's cached unit responses
+  /// (unit_response.hpp): it equals simulate_transient from ambient up
+  /// to summation order, and its end state is the per-block peak.
+  /// Throws InvalidArgument unless duration is positive and finite and
+  /// every block power finite and non-negative.
   SessionSimulation simulate_session(const std::vector<double>& block_power,
                                      double duration);
 

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "thermal/model_identity.hpp"
+#include "thermal/unit_response.hpp"
 #include "util/error.hpp"
 
 namespace thermo::thermal {
@@ -12,7 +13,8 @@ namespace fp = thermo::floorplan;
 RCModel::RCModel(const fp::Floorplan& floorplan, const PackageParams& package)
     : floorplan_(floorplan),
       package_(package),
-      identity_(next_model_identity()) {
+      identity_(next_model_identity()),
+      unit_responses_(std::make_shared<UnitResponses>()) {
   package_.validate();
   floorplan_.require_valid();
   block_count_ = floorplan_.size();
@@ -27,7 +29,8 @@ RCModel::RCModel(const RCModel& other)
       sparse_(other.sparse_),
       capacitance_(other.capacitance_),
       ambient_conductance_(other.ambient_conductance_),
-      node_names_(other.node_names_) {}
+      node_names_(other.node_names_),
+      unit_responses_(other.unit_responses_) {}
 
 RCModel& RCModel::operator=(const RCModel& other) {
   if (this == &other) return *this;
@@ -39,6 +42,7 @@ RCModel& RCModel::operator=(const RCModel& other) {
   capacitance_ = other.capacitance_;
   ambient_conductance_ = other.ambient_conductance_;
   node_names_ = other.node_names_;
+  unit_responses_ = other.unit_responses_;
   std::lock_guard<std::mutex> lock(dense_mutex_);
   dense_.reset();
   return *this;
@@ -231,14 +235,18 @@ const std::string& RCModel::node_name(std::size_t node) const {
   return node_names_[node];
 }
 
-std::vector<double> RCModel::expand_power(
-    const std::vector<double>& block_power) const {
+void RCModel::require_valid_power(const std::vector<double>& block_power) const {
   THERMO_REQUIRE(block_power.size() == block_count_,
                  "power vector size must equal the block count");
   for (double p : block_power) {
     THERMO_REQUIRE(std::isfinite(p) && p >= 0.0,
                    "block power must be finite and non-negative");
   }
+}
+
+std::vector<double> RCModel::expand_power(
+    const std::vector<double>& block_power) const {
+  require_valid_power(block_power);
   std::vector<double> power(node_count(), 0.0);
   for (std::size_t i = 0; i < block_count_; ++i) power[i] = block_power[i];
   return power;

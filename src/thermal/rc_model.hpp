@@ -42,6 +42,8 @@
 
 namespace thermo::thermal {
 
+class UnitResponses;
+
 class RCModel {
  public:
   /// Builds the network. The floorplan must be valid (no overlaps) and is
@@ -51,8 +53,8 @@ class RCModel {
   /// mirror is only materialised if conductance() is called.
   RCModel(const floorplan::Floorplan& fp, const PackageParams& package);
 
-  // The lazy dense mirror lives behind a mutex; copies share matrices
-  // and identity but rebuild the mirror on demand.
+  // The lazy dense mirror lives behind a mutex; copies share matrices,
+  // identity and unit responses but rebuild the mirror on demand.
   RCModel(const RCModel& other);
   RCModel& operator=(const RCModel& other);
 
@@ -102,6 +104,15 @@ class RCModel {
   /// nodes dissipate nothing).
   std::vector<double> expand_power(const std::vector<double>& block_power) const;
 
+  /// Throws InvalidArgument unless `block_power` has one finite,
+  /// non-negative entry per block (what expand_power checks).
+  void require_valid_power(const std::vector<double>& block_power) const;
+
+  /// The unit-power step responses ThermalAnalyzer superposes
+  /// (unit_response.hpp): built lazily and thread-safely, shared by
+  /// copies, freed with the last copy.
+  UnitResponses& unit_responses() const { return *unit_responses_; }
+
   /// Direct conductance between two nodes [W/K] (0 when not connected).
   double conductance_between(std::size_t a, std::size_t b) const;
 
@@ -123,6 +134,7 @@ class RCModel {
   std::vector<double> capacitance_;
   std::vector<double> ambient_conductance_;
   std::vector<std::string> node_names_;
+  std::shared_ptr<UnitResponses> unit_responses_;
   // Lazy dense mirror (nullptr until conductance() is first called).
   mutable std::mutex dense_mutex_;
   mutable std::unique_ptr<linalg::DenseMatrix> dense_;

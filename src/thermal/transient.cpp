@@ -60,6 +60,7 @@ TransientResult simulate_transient(const RCModel& model,
     ThermalSolverCache& cache = ThermalSolverCache::instance();
     const auto run_backward_euler = [&](const auto& stepper_for) {
       const auto stepper = stepper_for(options.dt);
+      std::vector<double> next(n);
       double t = 0.0;
       while (t < duration - 1e-15) {
         const double step = std::min(options.dt, duration - t);
@@ -69,10 +70,11 @@ TransientResult simulate_transient(const RCModel& model,
           // (Algorithm 1 re-validates fixed-length sessions), so the
           // remainder factor is reused; a burst of one-off durations at
           // worst churns the LRU, it cannot grow the cache unboundedly.
-          state = stepper_for(step)->step(state, power);
+          stepper_for(step)->step_into(state, power, next);
         } else {
-          state = stepper->step(state, power);
+          stepper->step_into(state, power, next);
         }
+        state.swap(next);
         t += step;
         ++result.steps;
         record(state);

@@ -1,9 +1,11 @@
 // Transient thermal simulation:  C dT/dt = P - G (T - T_amb).
 //
-// This is the expensive full-RC simulation of Algorithm 1's validation
-// step — what the paper drove HotSpot for, and what the cheap session
-// thermal model exists to avoid calling more often than necessary.
-// Every simulated second here is charged to "simulation effort".
+// This is the expensive full-RC simulation behind Algorithm 1's
+// validation step — what the paper drove HotSpot for, and what the
+// cheap session thermal model exists to avoid calling more often than
+// necessary. ThermalAnalyzer calls it once per unit-response column and
+// superposes those for each session (unit_response.hpp); chained and
+// power-trace replays call it directly.
 //
 // The system is stiff (die time constants are milliseconds, the heat
 // sink's are tens of seconds), so the default integrator is backward

@@ -327,6 +327,56 @@ TEST(Engine, LjfStartsJobsByDescendingCostWithIndexTiebreak) {
             (std::vector<std::size_t>{3, 1, 4, 0, 2}));
 }
 
+// --- the virtual clock bench_dispatch gates placement on ---
+
+TEST(VirtualClock, SortForPolicyIsTheEngineStartOrder) {
+  const std::vector<double> costs{1.0, 9.0, 1.0, 100.0, 9.0};
+  for (const SchedulePolicy policy :
+       {SchedulePolicy::kFifo, SchedulePolicy::kLjf}) {
+    std::vector<std::size_t> order(costs.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    sort_for_policy(order, costs, policy);
+    EXPECT_EQ(order, start_order(costs, policy))
+        << schedule_policy_name(policy);
+  }
+}
+
+TEST(VirtualClock, MakespanIsTheGreedyListSchedule) {
+  const std::vector<double> costs{4.0, 3.0, 3.0};
+  const std::vector<std::size_t> order{0, 1, 2};
+  EXPECT_EQ(virtual_makespan(costs, order, 1), 10.0);
+  EXPECT_EQ(virtual_makespan(costs, order, 2), 6.0);  // 4 | 3 + 3
+  EXPECT_EQ(virtual_makespan(costs, order, 8), 4.0);  // capped at 3 workers
+  EXPECT_EQ(virtual_makespan(costs, {2, 1, 0}, 2), 7.0);  // 3 + 4 | 3
+  EXPECT_EQ(virtual_makespan({}, {}, 4), 0.0);
+}
+
+/// bench_dispatch's batch shape: 60 equal small jobs, then one whale.
+std::vector<double> whale_last_costs() {
+  std::vector<double> costs(60, 1.0);
+  costs.push_back(40.0);
+  return costs;
+}
+
+TEST(VirtualClock, LjfOrderPassesThePlacementGate) {
+  const std::vector<double> costs = whale_last_costs();
+  std::vector<std::size_t> order(costs.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  sort_for_policy(order, costs, SchedulePolicy::kLjf);
+  EXPECT_EQ(virtual_makespan(costs, order, 4), 40.0);  // whale | 3 x 20
+  EXPECT_TRUE(beats_input_order(costs, order, 4));
+}
+
+TEST(VirtualClock, PlacementGateFailsOnTheFifoOrder) {
+  // An ljf that stopped reordering starts jobs in input order; the gate
+  // must reject it (15 smalls per worker, then the whale: 55 vs 55).
+  const std::vector<double> costs = whale_last_costs();
+  std::vector<std::size_t> fifo(costs.size());
+  std::iota(fifo.begin(), fifo.end(), std::size_t{0});
+  EXPECT_EQ(virtual_makespan(costs, fifo, 4), 55.0);
+  EXPECT_FALSE(beats_input_order(costs, fifo, 4));
+}
+
 TEST(Engine, RejectsUnusableJobCosts) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();

@@ -2,12 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "soc/alpha.hpp"
+#include "soc/fig1.hpp"
+#include "soc/synthetic.hpp"
 #include "test_helpers.hpp"
+#include "thermal/transient.hpp"
+#include "thermal/unit_response.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace thermo::thermal {
 namespace {
@@ -115,6 +125,203 @@ TEST_F(AnalyzerTest, AnalyzersSharingAModelShareFactors) {
     EXPECT_GT(parallel[i], 45.0);  // sane: above ambient
     EXPECT_DOUBLE_EQ(parallel[i], peak_for(serial, i)) << "run " << i;
   }
+}
+
+// --- superposition of cached unit responses (unit_response.hpp) ---
+
+/// Alpha, fig1 and three random synthetic SoCs; `ragged` gives the
+/// synthetic ones mixed test lengths.
+std::vector<core::SocSpec> corpus(bool ragged) {
+  std::vector<core::SocSpec> socs{soc::alpha_soc(), soc::fig1_soc()};
+  for (const std::uint64_t seed : {3u, 17u, 29u}) {
+    Rng rng(seed);
+    soc::SyntheticOptions options;
+    options.core_count = 6 + seed % 11;
+    if (ragged) {
+      options.test_length_min = 0.05;
+      options.test_length_max = 0.3;
+    }
+    socs.push_back(soc::make_synthetic_soc(rng, options));
+  }
+  return socs;
+}
+
+bool close(double a, double b, double relative) {
+  return std::abs(a - b) <= relative * std::max(std::abs(a), std::abs(b));
+}
+
+TEST(Superposition, SteppedRiseFromAmbientIsMonotone) {
+  // The premise of answering a session with its end state: from ambient
+  // under non-negative power the backward-Euler rise never decreases,
+  // so every node's peak is its final temperature — also across a
+  // fractional last step (0.1234 s at dt 1 ms).
+  Rng rng(5);
+  for (const core::SocSpec& soc : corpus(false)) {
+    const RCModel model(soc.flp, soc.package);
+    for (const SolverBackend backend :
+         {SolverBackend::kDense, SolverBackend::kSparse}) {
+      for (const double duration : {0.25, 0.1234}) {
+        std::vector<double> power(model.block_count(), 0.0);
+        for (double& p : power) p = rng.chance(0.5) ? rng.uniform(0.0, 20.0) : 0.0;
+        TransientOptions options;
+        options.backend = backend;
+        const TransientResult result = simulate_transient(
+            model, power, duration, ambient_state(model), options);
+        for (std::size_t node = 0; node < model.node_count(); ++node) {
+          EXPECT_TRUE(close(result.peak_temperature[node],
+                            result.final_temperature[node], 1e-12))
+              << soc.name << " " << solver_backend_name(backend) << " "
+              << duration << " s, node " << node << ": peak "
+              << result.peak_temperature[node] << " final "
+              << result.final_temperature[node];
+        }
+      }
+    }
+  }
+}
+
+TEST(Superposition, MatchesTheStepperOnRandomSessions) {
+  // Random sessions over uniform and mixed test lengths: the superposed
+  // peaks must agree with a direct simulation from ambient.
+  Rng rng(11);
+  for (const bool ragged : {false, true}) {
+    for (const core::SocSpec& soc : corpus(ragged)) {
+      const auto model = std::make_shared<const RCModel>(soc.flp, soc.package);
+      for (const SolverBackend backend :
+           {SolverBackend::kDense, SolverBackend::kSparse}) {
+        ThermalAnalyzer::Options options;
+        options.backend = backend;
+        ThermalAnalyzer analyzer(model, options);
+        for (int trial = 0; trial < 4; ++trial) {
+          std::vector<double> power(model->block_count(), 0.0);
+          double length = 0.0;
+          for (std::size_t core = 0; core < soc.core_count(); ++core) {
+            if (!rng.chance(0.5)) continue;
+            power[core] = soc.tests[core].power;
+            length = std::max(length, std::min(soc.tests[core].length, 0.3));
+          }
+          if (length == 0.0) continue;
+          const SessionSimulation sim = analyzer.simulate_session(power, length);
+          TransientOptions topt;
+          topt.backend = backend;
+          const TransientResult direct = simulate_transient(
+              *model, power, length, ambient_state(*model), topt);
+          for (std::size_t b = 0; b < model->block_count(); ++b) {
+            EXPECT_TRUE(close(sim.peak_temperature[b],
+                              direct.peak_temperature[b], 1e-9))
+                << soc.name << " " << solver_backend_name(backend)
+                << " block " << b << ": " << sim.peak_temperature[b]
+                << " vs " << direct.peak_temperature[b];
+          }
+          EXPECT_TRUE(close(sim.max_temperature, max_block_peak(*model, direct),
+                            1e-9));
+        }
+      }
+    }
+  }
+}
+
+TEST(Superposition, DenseAndSparseNeverShareColumns) {
+  const auto model =
+      std::make_shared<const RCModel>(nine_floorplan(), PackageParams{});
+  const UnitResponses& store = model->unit_responses();
+  std::vector<double> power(model->block_count(), 0.0);
+  power[0] = 4.0;
+  power[4] = 2.0;
+  ThermalAnalyzer::Options dense_options;
+  dense_options.backend = SolverBackend::kDense;
+  ThermalAnalyzer::Options sparse_options;
+  sparse_options.backend = SolverBackend::kSparse;
+  ThermalAnalyzer dense(model, dense_options);
+  ThermalAnalyzer sparse(model, sparse_options);
+  ThermalAnalyzer automatic(model);  // 19 nodes: kAuto resolves to dense
+
+  dense.simulate_session(power, 0.05);
+  EXPECT_EQ(store.column_count(), 2u);
+  sparse.simulate_session(power, 0.05);
+  EXPECT_EQ(store.column_count(), 4u);
+  automatic.simulate_session(power, 0.05);
+  EXPECT_EQ(store.column_count(), 4u);
+  // A copy of the model shares its columns, as it shares identity().
+  const RCModel copy(*model);
+  EXPECT_EQ(&copy.unit_responses(), &store);
+  // Another duration is another key.
+  dense.simulate_session(power, 0.04);
+  EXPECT_EQ(store.column_count(), 6u);
+}
+
+TEST(Superposition, RejectsUnusableDurationsAndPowers) {
+  const auto model =
+      std::make_shared<const RCModel>(quad_floorplan(), PackageParams{});
+  ThermalAnalyzer analyzer(model);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double duration : {nan, inf, -inf, -1.0, 0.0}) {
+    EXPECT_THROW(analyzer.simulate_session({1.0, 0.0, 0.0, 0.0}, duration),
+                 InvalidArgument)
+        << "duration " << duration;
+  }
+  for (const double power : {nan, inf, -1.0}) {
+    EXPECT_THROW(analyzer.simulate_session({1.0, power, 0.0, 0.0}, 0.05),
+                 InvalidArgument)
+        << "power " << power;
+  }
+  EXPECT_THROW(analyzer.simulate_session({1.0, 0.0, 0.0}, 0.05),
+               InvalidArgument);
+  // Nothing was charged or built for the rejected calls.
+  EXPECT_EQ(analyzer.simulation_count(), 0u);
+  EXPECT_EQ(model->unit_responses().column_count(), 0u);
+}
+
+TEST(Superposition, RacingThreadsGetBitIdenticalResults) {
+  // Four threads validate the same sessions on one cold model, each in
+  // its own order, so they race to build the same columns. Every result
+  // must equal, bit for bit, a serial run on a separate cold model.
+  const core::SocSpec soc = soc::alpha_soc();
+  const std::size_t n = soc.core_count();
+  std::vector<std::vector<double>> sessions;
+  for (std::size_t k = 0; k < 12; ++k) {
+    std::vector<double> power(n, 0.0);
+    for (std::size_t core = k % 3; core < n; core += 1 + k % 4) {
+      power[core] = soc.tests[core].power;
+    }
+    sessions.push_back(power);
+  }
+  const auto run = [&](ThermalAnalyzer& analyzer, std::size_t k) {
+    return analyzer.simulate_session(sessions[k], 0.2).peak_temperature;
+  };
+
+  const auto serial_model =
+      std::make_shared<const RCModel>(soc.flp, soc.package);
+  ThermalAnalyzer serial(serial_model);
+  std::vector<std::vector<double>> expected;
+  for (std::size_t k = 0; k < sessions.size(); ++k) {
+    expected.push_back(run(serial, k));
+  }
+
+  const auto shared = std::make_shared<const RCModel>(soc.flp, soc.package);
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::vector<std::vector<double>>> got(
+      kThreads, std::vector<std::vector<double>>(sessions.size()));
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ThermalAnalyzer analyzer(shared);
+      for (std::size_t j = 0; j < sessions.size(); ++j) {
+        const std::size_t k = (j + 3 * t) % sessions.size();
+        got[t][k] = run(analyzer, k);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    for (std::size_t k = 0; k < sessions.size(); ++k) {
+      EXPECT_EQ(got[t][k], expected[k]) << "thread " << t << " session " << k;
+    }
+  }
+  EXPECT_EQ(shared->unit_responses().column_count(),
+            serial_model->unit_responses().column_count());
 }
 
 }  // namespace
