@@ -9,6 +9,7 @@
 #include <cmath>
 
 #include "linalg/cholesky.hpp"
+#include "linalg/lu.hpp"
 #include "linalg/ode.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -155,6 +156,46 @@ TEST(SparseImplicitStepperTest, TracksDenseStepper) {
     y_dense = dense.step(y_dense, b);
   }
   EXPECT_LT(max_rel_diff(y_sparse, y_dense), 1e-10);
+}
+
+TEST(SparseImplicitStepperTest, StepIntoMatchesTheTextbookStepBitForBit) {
+  // step_into gathers the right-hand side straight into the factor's
+  // order and substitutes in place; at 97 nodes the sparse factor is
+  // min-degree ordered and the dense LU pivots, so both gathers and the
+  // sparse scatter run. Each step must equal, bit for bit, forming
+  // rhs = C/dt·y + b and solving (C/dt + G)·x = rhs with a plain solve().
+  Rng rng(19);
+  const std::size_t n = 97;
+  const double dt = 1e-2;
+  const SparseMatrix g = random_spd(rng, n, 2 * n);
+  Vector capacitance(n);
+  for (double& c : capacitance) c = rng.uniform(0.5, 3.0);
+  const SparseImplicitStepper sparse(g, capacitance, dt);
+  const LinearImplicitStepper dense(g.to_dense(), capacitance, dt);
+  ASSERT_EQ(sparse.factor().ordering(), Ordering::kMinDegree);
+  DenseMatrix system = g.to_dense();
+  for (std::size_t i = 0; i < n; ++i) system(i, i) += capacitance[i] / dt;
+  const LuDecomposition lu(system);
+  const auto textbook_rhs = [&](const Vector& y, const Vector& b) {
+    Vector rhs(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      rhs[i] = capacitance[i] / dt * y[i] + b[i];
+    }
+    return rhs;
+  };
+
+  const Vector b = random_rhs(rng, n);
+  Vector y_sparse(n, 0.0), y_dense(n, 0.0), next;
+  for (int step = 0; step < 5; ++step) {
+    sparse.step_into(y_sparse, b, next);
+    EXPECT_EQ(next, sparse.factor().solve(textbook_rhs(y_sparse, b)));
+    y_sparse.swap(next);
+    dense.step_into(y_dense, b, next);
+    EXPECT_EQ(next, lu.solve(textbook_rhs(y_dense, b)));
+    y_dense.swap(next);
+  }
+  EXPECT_THROW(sparse.step_into(y_sparse, b, y_sparse), InvalidArgument);
+  EXPECT_THROW(dense.step_into(y_dense, b, y_dense), InvalidArgument);
 }
 
 TEST(SparseImplicitStepperTest, RejectsBadInputs) {
