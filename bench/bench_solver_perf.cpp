@@ -25,6 +25,7 @@
 #include <cmath>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -34,7 +35,6 @@
 #include "linalg/cholesky.hpp"
 #include "soc/alpha.hpp"
 #include "thermal/analyzer.hpp"
-#include "thermal/solver_cache.hpp"
 #include "thermal/steady_state.hpp"
 #include "thermal/transient.hpp"
 
@@ -75,6 +75,25 @@ double seconds_per_call(Fn&& fn, double min_time = 0.05,
     fn();
     ++reps;
     elapsed = std::chrono::duration<double>(clock::now() - start).count();
+  }
+  return elapsed / static_cast<double>(reps);
+}
+
+/// Seconds per call of `fn(model)` on a model `make()` built fresh for
+/// that call — its factors are built inside the call, so this is the
+/// cold cost. make() and the model's destruction are not timed.
+template <typename Make, typename Fn>
+double cold_seconds_per_call(Make&& make, Fn&& fn, double min_time,
+                             std::size_t max_reps) {
+  using clock = std::chrono::steady_clock;
+  std::size_t reps = 0;
+  double elapsed = 0.0;
+  while (reps < max_reps && elapsed < min_time) {
+    const auto model = make();
+    const auto start = clock::now();
+    fn(model);
+    elapsed += std::chrono::duration<double>(clock::now() - start).count();
+    ++reps;
   }
   return elapsed / static_cast<double>(reps);
 }
@@ -136,11 +155,21 @@ TransientPoint measure_transient(std::size_t side) {
   point.duration = 0.0505;
   point.dt = topt.dt;
 
-  // Cold: every session factors (C/dt + G) afresh.
-  point.cold_s = seconds_per_call(
+  // Cold: every session factors (C/dt + G) afresh, on a fresh model
+  // built outside the timed region — with its dense mirror when the
+  // dense backend resolves, since the mirror is a copy of G, not part
+  // of factoring it.
+  const bool dense = thermal::resolve_backend(topt.backend, point.nodes) ==
+                     thermal::SolverBackend::kDense;
+  point.cold_s = cold_seconds_per_call(
       [&] {
-        thermal::ThermalSolverCache::instance().invalidate(model);
-        thermal::simulate_transient(model, power, point.duration, initial,
+        auto fresh = std::make_unique<const thermal::RCModel>(
+            make_grid_model(side));
+        if (dense) fresh->conductance();
+        return fresh;
+      },
+      [&](const auto& fresh) {
+        thermal::simulate_transient(*fresh, power, point.duration, initial,
                                     topt);
       },
       0.05, 200);

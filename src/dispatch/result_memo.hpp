@@ -12,9 +12,9 @@
 // path rather than ever serving the wrong record (content-addressed,
 // not hash-trusted).
 //
-// Like ThermalSolverCache and ScenarioRunner's model cache, capacity is
-// LRU-capped: a long-lived server fed ever-fresh requests cannot grow
-// memory monotonically; an evicted duplicate is simply recomputed.
+// Like ScenarioRunner's model cache, capacity is LRU-capped: a
+// long-lived server fed ever-fresh requests cannot grow memory
+// monotonically; an evicted duplicate is simply recomputed.
 // Recency is a splice-maintained list, so find/insert/evict are all
 // O(1) — a full cache fed fresh keys must not degrade to scanning
 // thousands of entries per insert while workers contend on the mutex.

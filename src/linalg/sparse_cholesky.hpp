@@ -28,8 +28,8 @@
 //    substitution, a diagonal scale, and back substitution.
 //  * solve() is const, deterministic, and thread-safe — the factor is
 //    shareable across sweep workers exactly like the dense factors
-//    (thermal::ThermalSolverCache caches both kinds under the same
-//    model identity).
+//    (a thermal model keeps both kinds side by side in its factor
+//    store, thermal/solver_cache.hpp).
 #pragma once
 
 #include <cstddef>

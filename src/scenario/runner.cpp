@@ -205,8 +205,8 @@ std::shared_ptr<const Model> ScenarioRunner::cached_model(
   }
   // Built under the lock: dense assembly is O(n^2) matrix stamping and
   // grid assembly one sparse Builder pass, cheap next to the
-  // factorizations, which happen later in the solver cache *outside*
-  // any lock here.
+  // factorizations, which happen later, into the model's own store,
+  // *outside* any lock here.
   obs::TraceSpan build_span("scenario.model_build");
   obs::ScopedTimer build_timer(model_build_ns());
   std::shared_ptr<const Model> model = build();

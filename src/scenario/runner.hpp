@@ -5,11 +5,10 @@
 // Model sharing is the whole point of running scenarios through one
 // runner instead of one process each: every request whose SocSelector
 // has the same geometry_key() gets the *same* shared RCModel instance,
-// so the solver cache (keyed by RCModel::identity(), see
-// thermal/solver_cache.hpp) factors each distinct floorplan once per
-// batch no matter how many requests — or worker threads — reference it.
-// A 100-request Alpha batch performs one Cholesky factorization, not
-// 100.
+// and factors live in the model (thermal/solver_cache.hpp), so each
+// distinct floorplan is factored once per batch no matter how many
+// requests — or worker threads — reference it. A 100-request Alpha
+// batch performs one Cholesky factorization, not 100.
 //
 // Thread safety: run() is safe to call concurrently (the model cache is
 // mutex-guarded; each run builds private analyzers/schedulers), which is
@@ -122,7 +121,7 @@ class ScenarioRunner {
 
   /// The shared grid model for (geometry, rows×cols), built on first
   /// use — same LRU discipline as model_for, so repeated grid_steady
-  /// requests on one discretisation share one cached sparse factor.
+  /// requests on one discretisation share one sparse factor.
   std::shared_ptr<const thermal::GridThermalModel> grid_model_for(
       const SocSelector& selector, const core::SocSpec& soc,
       const GridSpec& grid);
@@ -133,10 +132,12 @@ class ScenarioRunner {
   };
   Stats stats() const;
 
-  /// Cached-model bound. Like ThermalSolverCache, the cache is capped
-  /// so a long-lived runner fed ever-new geometries (synthetic seeds,
-  /// .flp paths) cannot grow memory monotonically; the least recently
-  /// used geometry is evicted and simply rebuilt if it returns.
+  /// Cached-model bound, and with it the bound on factor and
+  /// unit-response memory, which the models own. The cache is capped so
+  /// a long-lived runner fed ever-new geometries (synthetic seeds, .flp
+  /// paths) cannot grow memory monotonically; the least recently used
+  /// geometry is evicted (its factors are freed once no in-flight
+  /// request still holds the model) and simply rebuilt if it returns.
   static constexpr std::size_t kMaxCachedModels = 64;
 
  private:

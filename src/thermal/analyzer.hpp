@@ -46,9 +46,8 @@ class ThermalAnalyzer {
                   Options options);
 
   /// Shares an existing model instead of building a private one. Because
-  /// cached factorizations are keyed by RCModel::identity() and unit
-  /// responses live in the model, analyzers sharing one model also share
-  /// its factors and responses — this is how
+  /// factorizations and unit responses live in the model, analyzers
+  /// sharing one model also share its factors and responses — this is how
   /// core::sweep_stcl and the serve workers give every thread its own
   /// effort accounting (analyzers are not thread-safe) while the
   /// expensive factorizations are computed once. Throws InvalidArgument

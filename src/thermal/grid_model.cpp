@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "thermal/model_identity.hpp"
 #include "thermal/solver_cache.hpp"
 #include "util/error.hpp"
 
@@ -21,7 +20,7 @@ GridThermalModel::GridThermalModel(const floorplan::Floorplan& fp,
     : floorplan_(fp),
       package_(package),
       options_(options),
-      identity_(next_model_identity()) {
+      factors_(std::make_shared<FactorStore>()) {
   package_.validate();
   floorplan_.require_valid();
   THERMO_REQUIRE(options_.rows >= 2 && options_.cols >= 2,
@@ -179,8 +178,8 @@ GridSteadyResult GridThermalModel::solve(const std::vector<double>& block_power,
     }
   }
 
-  // Unified solve path: the resolved backend picks a cached factor
-  // from the process-wide ThermalSolverCache, exactly like RCModel's
+  // Unified solve path: the resolved backend picks a factor from this
+  // model's store through ThermalSolverCache, exactly like RCModel's
   // steady path — a repeated solve on the same grid is one
   // back-substitution.
   ThermalSolverCache& cache = ThermalSolverCache::instance();

@@ -12,14 +12,15 @@
 // expose intra-block temperature gradients that block granularity hides.
 // Steady state only. Solves route through SolverBackend +
 // ThermalSolverCache exactly like RCModel: the resolved backend picks a
-// cached dense Cholesky (small grids) or a cached fill-ordered sparse
-// LDLᵗ factor (everything else), so repeated solves on one grid pay a
-// single factorization — 100k-node grids (317×317+) factor once and
-// back-substitute per power map.
+// dense Cholesky (small grids) or a fill-ordered sparse LDLᵗ factor
+// (everything else), kept in the model's own factor store, so repeated
+// solves on one grid pay a single factorization — 100k-node grids
+// (317×317+) factor once and back-substitute per power map. Copies
+// share the store; it is freed with the last copy.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "floorplan/floorplan.hpp"
@@ -28,6 +29,8 @@
 #include "thermal/package.hpp"
 
 namespace thermo::thermal {
+
+struct FactorStore;
 
 struct GridOptions {
   std::size_t rows = 32;
@@ -60,17 +63,11 @@ class GridThermalModel {
   const floorplan::Floorplan& floorplan() const { return floorplan_; }
   const PackageParams& package() const { return package_; }
 
-  /// Process-unique identity (thermal/model_identity.hpp), drawn from
-  /// the same counter as RCModel::identity() so ThermalSolverCache can
-  /// key grid factors alongside block-model factors without aliasing.
-  /// Copies share the identity; the model is immutable after build.
-  std::uint64_t identity() const { return identity_; }
-
   /// Fraction of cell (r, c) covered by block b (0..1).
   double coverage(std::size_t block, std::size_t row, std::size_t col) const;
 
   /// Steady-state solve for per-block power [W] through the resolved
-  /// backend's cached factor (ThermalSolverCache).
+  /// backend's factor, built on first use (ThermalSolverCache).
   GridSteadyResult solve(const std::vector<double>& block_power,
                          SolverBackend backend = SolverBackend::kAuto) const;
 
@@ -78,6 +75,8 @@ class GridThermalModel {
   const linalg::SparseMatrix& conductance() const { return conductance_; }
 
  private:
+  friend class ThermalSolverCache;
+
   std::size_t cell_index(std::size_t row, std::size_t col) const {
     return row * options_.cols + col;
   }
@@ -85,12 +84,12 @@ class GridThermalModel {
   floorplan::Floorplan floorplan_;
   PackageParams package_;
   GridOptions options_;
-  std::uint64_t identity_ = 0;
   double cell_w_ = 0.0;
   double cell_h_ = 0.0;
   linalg::SparseMatrix conductance_;
   /// coverage_[b] lists (cell, fraction-of-cell-area) pairs.
   std::vector<std::vector<std::pair<std::size_t, double>>> coverage_;
+  std::shared_ptr<FactorStore> factors_;
 };
 
 }  // namespace thermo::thermal

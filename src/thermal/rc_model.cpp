@@ -1,8 +1,9 @@
 #include "thermal/rc_model.hpp"
 
 #include <cmath>
+#include <mutex>
 
-#include "thermal/model_identity.hpp"
+#include "thermal/solver_cache.hpp"
 #include "thermal/unit_response.hpp"
 #include "util/error.hpp"
 
@@ -13,39 +14,12 @@ namespace fp = thermo::floorplan;
 RCModel::RCModel(const fp::Floorplan& floorplan, const PackageParams& package)
     : floorplan_(floorplan),
       package_(package),
-      identity_(next_model_identity()),
+      factors_(std::make_shared<FactorStore>()),
       unit_responses_(std::make_shared<UnitResponses>()) {
   package_.validate();
   floorplan_.require_valid();
   block_count_ = floorplan_.size();
   build();
-}
-
-RCModel::RCModel(const RCModel& other)
-    : floorplan_(other.floorplan_),
-      package_(other.package_),
-      identity_(other.identity_),
-      block_count_(other.block_count_),
-      sparse_(other.sparse_),
-      capacitance_(other.capacitance_),
-      ambient_conductance_(other.ambient_conductance_),
-      node_names_(other.node_names_),
-      unit_responses_(other.unit_responses_) {}
-
-RCModel& RCModel::operator=(const RCModel& other) {
-  if (this == &other) return *this;
-  floorplan_ = other.floorplan_;
-  package_ = other.package_;
-  identity_ = other.identity_;
-  block_count_ = other.block_count_;
-  sparse_ = other.sparse_;
-  capacitance_ = other.capacitance_;
-  ambient_conductance_ = other.ambient_conductance_;
-  node_names_ = other.node_names_;
-  unit_responses_ = other.unit_responses_;
-  std::lock_guard<std::mutex> lock(dense_mutex_);
-  dense_.reset();
-  return *this;
 }
 
 void RCModel::stamp(linalg::SparseMatrix::Builder& builder, std::size_t a,
@@ -219,15 +193,16 @@ void RCModel::build() {
 }
 
 const linalg::DenseMatrix& RCModel::conductance() const {
-  std::lock_guard<std::mutex> lock(dense_mutex_);
-  if (!dense_) {
+  std::scoped_lock lock(factors_->mutex);
+  if (!factors_->dense_conductance) {
     THERMO_REQUIRE(node_count() <= kDenseMirrorMaxNodes,
                    "dense conductance mirror disabled above " +
                        std::to_string(kDenseMirrorMaxNodes) +
                        " nodes; use conductance_sparse()");
-    dense_ = std::make_unique<linalg::DenseMatrix>(sparse_.to_dense());
+    factors_->dense_conductance =
+        std::make_unique<const linalg::DenseMatrix>(sparse_.to_dense());
   }
-  return *dense_;
+  return *factors_->dense_conductance;
 }
 
 const std::string& RCModel::node_name(std::size_t node) const {

@@ -29,9 +29,7 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -42,6 +40,7 @@
 
 namespace thermo::thermal {
 
+struct FactorStore;
 class UnitResponses;
 
 class RCModel {
@@ -50,13 +49,9 @@ class RCModel {
   /// copied into the model. Throws InvalidArgument otherwise.
   /// Assembly is sparse-first: conductances stamp straight into a CSR
   /// builder, so construction is O(nnz) time and memory — the dense n×n
-  /// mirror is only materialised if conductance() is called.
+  /// mirror is only materialised if conductance() is called. Copies
+  /// share the factor store (solver_cache.hpp) and unit responses.
   RCModel(const floorplan::Floorplan& fp, const PackageParams& package);
-
-  // The lazy dense mirror lives behind a mutex; copies share matrices,
-  // identity and unit responses but rebuild the mirror on demand.
-  RCModel(const RCModel& other);
-  RCModel& operator=(const RCModel& other);
 
   std::size_t block_count() const { return block_count_; }
   std::size_t node_count() const { return block_count_ + kPackageNodes; }
@@ -70,14 +65,6 @@ class RCModel {
   const floorplan::Floorplan& floorplan() const { return floorplan_; }
   const PackageParams& package() const { return package_; }
 
-  /// Process-unique identity of the network, assigned at construction.
-  /// An RCModel is immutable after construction, so the identity keys
-  /// the cached matrix factorizations (ThermalSolverCache): same
-  /// identity ⇒ same G and C, always. Copies share the identity (they
-  /// hold identical matrices); every freshly *constructed* model gets a
-  /// new one, which is what invalidates stale cache entries.
-  std::uint64_t identity() const { return identity_; }
-
   /// Largest node count for which the dense mirror may be materialised
   /// (3.2 GB at the cap); above it conductance() throws and callers
   /// must stay on the sparse path.
@@ -85,8 +72,9 @@ class RCModel {
 
   /// Symmetric positive-definite conductance matrix G [W/K] over all
   /// nodes, ambient eliminated (to-ambient conductance on the diagonal).
-  /// DENSE MIRROR, built lazily on first call (thread-safe) — only the
-  /// dense backend, the kLu cross-check path, and tests want it. Throws
+  /// DENSE MIRROR, built lazily on first call (thread-safe) and kept in
+  /// the model's factor store, so copies share it — only the dense
+  /// backend, the kLu cross-check path, and tests want it. Throws
   /// InvalidArgument above kDenseMirrorMaxNodes.
   const linalg::DenseMatrix& conductance() const;
 
@@ -120,6 +108,8 @@ class RCModel {
   double conductance_to_ambient(std::size_t node) const;
 
  private:
+  friend class ThermalSolverCache;
+
   void build();
   void stamp(linalg::SparseMatrix::Builder& builder, std::size_t a,
              std::size_t b, double conductance);
@@ -128,16 +118,15 @@ class RCModel {
 
   floorplan::Floorplan floorplan_;
   PackageParams package_;
-  std::uint64_t identity_ = 0;
   std::size_t block_count_ = 0;
   linalg::SparseMatrix sparse_;
   std::vector<double> capacitance_;
   std::vector<double> ambient_conductance_;
   std::vector<std::string> node_names_;
+  // Both lazily filled and shared by copies (an RCModel is immutable,
+  // so copies hold identical matrices); freed with the last copy.
+  std::shared_ptr<FactorStore> factors_;
   std::shared_ptr<UnitResponses> unit_responses_;
-  // Lazy dense mirror (nullptr until conductance() is first called).
-  mutable std::mutex dense_mutex_;
-  mutable std::unique_ptr<linalg::DenseMatrix> dense_;
 };
 
 }  // namespace thermo::thermal

@@ -1,7 +1,6 @@
 #include "thermal/solver_cache.hpp"
 
 #include <cstring>
-#include <tuple>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -18,188 +17,149 @@ std::uint64_t bits_of(double dt) {
   return bits;
 }
 
-/// Cache observability (docs/OBSERVABILITY.md): hit/miss/eviction
-/// counts plus the wall time of the factorizations the cache exists to
-/// amortize.
+/// Cache observability (docs/OBSERVABILITY.md): hit/miss counts plus
+/// the wall time of the factorizations the stores exist to amortize.
 struct CacheMetrics {
   obs::Counter& hits;
   obs::Counter& misses;
-  obs::Counter& evictions;
   obs::Histogram& factor_ns;
 };
 
 CacheMetrics& cache_metrics() {
   auto& registry = obs::MetricsRegistry::instance();
-  static CacheMetrics metrics{
-      registry.counter("thermal.solver_cache.hits"),
-      registry.counter("thermal.solver_cache.misses"),
-      registry.counter("thermal.solver_cache.evictions"),
-      registry.histogram("thermal.factor_ns")};
+  static CacheMetrics metrics{registry.counter("thermal.solver_cache.hits"),
+                              registry.counter("thermal.solver_cache.misses"),
+                              registry.histogram("thermal.factor_ns")};
   return metrics;
 }
 
 }  // namespace
-
-bool ThermalSolverCache::Key::operator<(const Key& other) const {
-  return std::tie(model, dt_bits, kind) <
-         std::tie(other.model, other.dt_bits, other.kind);
-}
 
 ThermalSolverCache& ThermalSolverCache::instance() {
   static ThermalSolverCache cache;
   return cache;
 }
 
-ThermalSolverCache::ThermalSolverCache(std::size_t capacity)
-    : capacity_(capacity) {
-  THERMO_REQUIRE(capacity > 0, "solver cache capacity must be positive");
-}
-
-std::shared_ptr<const void> ThermalSolverCache::lookup(
-    const Key& key, const std::function<std::shared_ptr<const void>()>& make) {
+void ThermalSolverCache::count(bool hit) {
   CacheMetrics& metrics = cache_metrics();
-  {
-    std::scoped_lock lock(mutex_);
-    ++tick_;
-    if (auto it = entries_.find(key); it != entries_.end()) {
-      ++hits_;
-      metrics.hits.add();
-      it->second.last_used = tick_;
-      return it->second.value;
-    }
+  std::scoped_lock lock(mutex_);
+  if (hit) {
+    ++hits_;
+    metrics.hits.add();
+  } else {
     ++misses_;
     metrics.misses.add();
   }
+}
+
+template <typename T, typename Slot, typename Make>
+std::shared_ptr<const T> ThermalSolverCache::fetch(FactorStore& store,
+                                                   Slot&& slot_of,
+                                                   Make&& make) {
+  {
+    std::scoped_lock lock(store.mutex);
+    const std::shared_ptr<const T>& slot = slot_of(store);
+    count(slot != nullptr);
+    if (slot) return slot;
+  }
   // Factor OUTSIDE the lock: an O(n^3) factorization must not stall
-  // every other worker's cache lookup. Two threads racing the same key
-  // may both factor; the first insert wins and both share its result
-  // (the loser's work is discarded — rare, and merely wasted cycles).
-  std::shared_ptr<const void> value;
+  // every other worker's fetch. Two threads racing the same slot may
+  // both factor; the first insert wins and both share its result (the
+  // loser's work is discarded — rare, and merely wasted cycles).
+  std::shared_ptr<const T> value;
   {
     obs::TraceSpan factor_span("thermal.factor");
-    obs::ScopedTimer factor_timer(metrics.factor_ns);
+    obs::ScopedTimer factor_timer(cache_metrics().factor_ns);
     value = make();
   }
-  std::scoped_lock lock(mutex_);
-  const auto [it, inserted] = entries_.try_emplace(key, Entry{value, tick_});
-  if (!inserted) {
-    it->second.last_used = ++tick_;
-    return it->second.value;
-  }
-  while (entries_.size() > capacity_) {
-    auto oldest = entries_.begin();
-    for (auto candidate = entries_.begin(); candidate != entries_.end();
-         ++candidate) {
-      if (candidate->second.last_used < oldest->second.last_used) {
-        oldest = candidate;
-      }
-    }
-    entries_.erase(oldest);
-    metrics.evictions.add();
-  }
-  return value;
+  std::scoped_lock lock(store.mutex);
+  std::shared_ptr<const T>& slot = slot_of(store);
+  if (!slot) slot = std::move(value);
+  return slot;
 }
 
 std::shared_ptr<const linalg::CholeskyFactor> ThermalSolverCache::cholesky(
     const RCModel& model) {
-  auto value = lookup(Key{model.identity(), 0, 0}, [&] {
-    return std::shared_ptr<const void>(
-        std::make_shared<const linalg::CholeskyFactor>(model.conductance()));
-  });
-  return std::static_pointer_cast<const linalg::CholeskyFactor>(value);
+  return fetch<linalg::CholeskyFactor>(
+      *model.factors_, [](FactorStore& s) -> auto& { return s.cholesky; },
+      [&] {
+        return std::make_shared<const linalg::CholeskyFactor>(
+            model.conductance());
+      });
 }
 
 std::shared_ptr<const linalg::LuFactor> ThermalSolverCache::lu(
     const RCModel& model) {
-  auto value = lookup(Key{model.identity(), 0, 1}, [&] {
-    return std::shared_ptr<const void>(
-        std::make_shared<const linalg::LuFactor>(model.conductance()));
-  });
-  return std::static_pointer_cast<const linalg::LuFactor>(value);
+  return fetch<linalg::LuFactor>(
+      *model.factors_, [](FactorStore& s) -> auto& { return s.lu; },
+      [&] {
+        return std::make_shared<const linalg::LuFactor>(model.conductance());
+      });
 }
 
 std::shared_ptr<const linalg::LinearImplicitStepper> ThermalSolverCache::stepper(
     const RCModel& model, double dt) {
   THERMO_REQUIRE(dt > 0.0, "solver cache: dt must be positive");
-  auto value = lookup(Key{model.identity(), bits_of(dt), 2}, [&] {
-    return std::shared_ptr<const void>(
-        std::make_shared<const linalg::LinearImplicitStepper>(
-            model.conductance(), model.capacitance(), dt));
-  });
-  return std::static_pointer_cast<const linalg::LinearImplicitStepper>(value);
+  const std::uint64_t key = bits_of(dt);
+  return fetch<linalg::LinearImplicitStepper>(
+      *model.factors_,
+      [key](FactorStore& s) -> auto& { return s.steppers[key]; },
+      [&] {
+        return std::make_shared<const linalg::LinearImplicitStepper>(
+            model.conductance(), model.capacitance(), dt);
+      });
 }
 
 std::shared_ptr<const linalg::SparseCholeskyFactor>
 ThermalSolverCache::sparse_cholesky(const RCModel& model) {
-  auto value = lookup(Key{model.identity(), 0, 3}, [&] {
-    return std::shared_ptr<const void>(
-        std::make_shared<const linalg::SparseCholeskyFactor>(
-            model.conductance_sparse()));
-  });
-  return std::static_pointer_cast<const linalg::SparseCholeskyFactor>(value);
+  return fetch<linalg::SparseCholeskyFactor>(
+      *model.factors_,
+      [](FactorStore& s) -> auto& { return s.sparse_cholesky; },
+      [&] {
+        return std::make_shared<const linalg::SparseCholeskyFactor>(
+            model.conductance_sparse());
+      });
 }
 
 std::shared_ptr<const linalg::SparseImplicitStepper>
 ThermalSolverCache::sparse_stepper(const RCModel& model, double dt) {
   THERMO_REQUIRE(dt > 0.0, "solver cache: dt must be positive");
-  auto value = lookup(Key{model.identity(), bits_of(dt), 4}, [&] {
-    return std::shared_ptr<const void>(
-        std::make_shared<const linalg::SparseImplicitStepper>(
-            model.conductance_sparse(), model.capacitance(), dt));
-  });
-  return std::static_pointer_cast<const linalg::SparseImplicitStepper>(value);
+  const std::uint64_t key = bits_of(dt);
+  return fetch<linalg::SparseImplicitStepper>(
+      *model.factors_,
+      [key](FactorStore& s) -> auto& { return s.sparse_steppers[key]; },
+      [&] {
+        return std::make_shared<const linalg::SparseImplicitStepper>(
+            model.conductance_sparse(), model.capacitance(), dt);
+      });
 }
 
 std::shared_ptr<const linalg::CholeskyFactor> ThermalSolverCache::cholesky(
     const GridThermalModel& model) {
-  auto value = lookup(Key{model.identity(), 0, 0}, [&] {
-    return std::shared_ptr<const void>(
-        std::make_shared<const linalg::CholeskyFactor>(
-            model.conductance().to_dense()));
-  });
-  return std::static_pointer_cast<const linalg::CholeskyFactor>(value);
+  return fetch<linalg::CholeskyFactor>(
+      *model.factors_, [](FactorStore& s) -> auto& { return s.cholesky; },
+      [&] {
+        return std::make_shared<const linalg::CholeskyFactor>(
+            model.conductance().to_dense());
+      });
 }
 
 std::shared_ptr<const linalg::SparseCholeskyFactor>
 ThermalSolverCache::sparse_cholesky(const GridThermalModel& model) {
-  auto value = lookup(Key{model.identity(), 0, 3}, [&] {
-    return std::shared_ptr<const void>(
-        std::make_shared<const linalg::SparseCholeskyFactor>(
-            model.conductance()));
-  });
-  return std::static_pointer_cast<const linalg::SparseCholeskyFactor>(value);
+  return fetch<linalg::SparseCholeskyFactor>(
+      *model.factors_,
+      [](FactorStore& s) -> auto& { return s.sparse_cholesky; },
+      [&] {
+        return std::make_shared<const linalg::SparseCholeskyFactor>(
+            model.conductance());
+      });
 }
 
-void ThermalSolverCache::invalidate(const RCModel& model) {
-  std::scoped_lock lock(mutex_);
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    if (it->first.model == model.identity()) {
-      it = entries_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-void ThermalSolverCache::invalidate(const GridThermalModel& model) {
-  std::scoped_lock lock(mutex_);
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    if (it->first.model == model.identity()) {
-      it = entries_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-void ThermalSolverCache::clear() {
-  std::scoped_lock lock(mutex_);
-  entries_.clear();
-}
+void ThermalSolverCache::clear() {}
 
 ThermalSolverCache::Stats ThermalSolverCache::stats() const {
   std::scoped_lock lock(mutex_);
-  return Stats{hits_, misses_, entries_.size()};
+  return Stats{hits_, misses_};
 }
 
 void ThermalSolverCache::reset_stats() {

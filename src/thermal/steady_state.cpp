@@ -26,8 +26,7 @@ SteadyStateResult solve_steady_state(const RCModel& model,
     case SteadySolver::kCholesky:
       // Factor-cached: G is fixed per model, only the power vector
       // changes across calls (see solver_cache.hpp). The backend picks
-      // the factor representation; both are cached under the model's
-      // identity.
+      // the factor representation; the model keeps one of each.
       if (resolve_backend(options.backend, model.node_count()) ==
           SolverBackend::kSparse) {
         result.rise =

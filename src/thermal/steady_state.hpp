@@ -9,9 +9,9 @@
 // time-resolved counterpart.
 //
 // The Cholesky and LU paths are factor-cached: G is fixed per RCModel,
-// so repeated solves on the same model reuse its factorization through
-// ThermalSolverCache (solver_cache.hpp) and cost only two triangular
-// substitutions. The Cholesky path additionally honours a SolverBackend
+// so the model keeps its factorization (filled through
+// ThermalSolverCache, solver_cache.hpp) and repeated solves on it cost
+// only two triangular substitutions. The Cholesky path additionally honours a SolverBackend
 // (backend.hpp): kDense keeps the dense factor, kSparse factors the
 // model's CSR matrix instead (linalg/sparse_cholesky.hpp), and kAuto —
 // the default — picks by node count. docs/SOLVERS.md explains how to

@@ -53,7 +53,7 @@ TransientResult simulate_transient(const RCModel& model,
   const std::vector<double>& capacitance = model.capacitance();
 
   if (options.integrator == TransientIntegrator::kBackwardEuler) {
-    // The (C/dt + G) factor is shared through the solver cache: repeated
+    // The (C/dt + G) factor lives in the model's store: repeated
     // sessions on the same model at the same dt — Algorithm 1 validates
     // thousands — pay the factorization once. The backend picks dense LU
     // or sparse LDLᵗ; both stepper kinds share the same loop below.
@@ -65,11 +65,11 @@ TransientResult simulate_transient(const RCModel& model,
       while (t < duration - 1e-15) {
         const double step = std::min(options.dt, duration - t);
         if (step < options.dt * (1.0 - 1e-12)) {
-          // Final fractional remainder: also cached, keyed by its own
-          // (model, step). Real workloads re-simulate the same durations
+          // Final fractional remainder: also kept, as its own (model,
+          // step) stepper. Real workloads re-simulate the same durations
           // (Algorithm 1 re-validates fixed-length sessions), so the
-          // remainder factor is reused; a burst of one-off durations at
-          // worst churns the LRU, it cannot grow the cache unboundedly.
+          // remainder factor is reused; each distinct remainder adds one
+          // stepper to the model, freed with it (docs/SOLVERS.md).
           stepper_for(step)->step_into(state, power, next);
         } else {
           stepper->step_into(state, power, next);

@@ -12,10 +12,11 @@
 // Euler with a factored system matrix; RK4 is available for
 // cross-validation on short horizons.
 //
-// The backward-Euler system matrix (C/dt + G) is factor-cached per
-// (model, dt) through ThermalSolverCache (solver_cache.hpp): the first
-// simulated session pays the factorization, every later session on the
-// same model and step size pays only back-substitution per step. The
+// The backward-Euler system matrix (C/dt + G) is factored once per
+// (model, dt) and kept in the model (ThermalSolverCache,
+// solver_cache.hpp): the first simulated session pays the
+// factorization, every later session on the same model and step size
+// pays only back-substitution per step. The
 // factor representation follows TransientOptions::backend (backend.hpp):
 // dense LU below the kAuto crossover, sparse LDLᵗ above it — the sparse
 // path is what keeps per-step cost linear in the node count on

@@ -21,7 +21,7 @@
 // validation needs it, keyed by (resolved backend, dt bits, duration
 // bits, block). Columns cost n_blocks doubles each and are never
 // evicted: the store belongs to its RCModel (copies share it, as they
-// share identity()), so the owner of the model bounds it.
+// share its factor store), so the owner of the model bounds it.
 //
 // Concurrency: lookups take one mutex; a missing column is simulated
 // OUTSIDE it and the first insert wins. A column's contents depend only

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -11,6 +12,7 @@
 #include "scenario/serve.hpp"
 #include "soc/alpha.hpp"
 #include "thermal/analyzer.hpp"
+#include "thermal/solver_cache.hpp"
 
 namespace thermo::scenario {
 namespace {
@@ -107,24 +109,40 @@ TEST(ScenarioRunner, ModelCacheEvictsCleanlyPastSixtyFourGeometries) {
   // geometry must evict the least recently used entry instead of
   // growing forever — and eviction must be invisible except as a
   // rebuild (a re-visited evicted geometry is a miss, a recently used
-  // one still hits).
+  // one still hits). The evicted model's factors go with it: the model
+  // LRU is the only bound on factor memory.
   ScenarioRunner runner;
-  for (std::uint64_t seed = 1;
+  ASSERT_TRUE(runner.run(synthetic_request(1)).ok);
+  // Watch the steady factor seed 1's request used (22 nodes: the dense
+  // Cholesky). Looking the model up again counts as one model hit.
+  std::weak_ptr<const linalg::CholeskyFactor> seed1_factor;
+  {
+    const ScenarioRequest first = synthetic_request(1);
+    const auto model =
+        runner.model_for(first.soc, ScenarioRunner::build_soc(first.soc));
+    thermal::ThermalSolverCache& cache = thermal::ThermalSolverCache::instance();
+    cache.reset_stats();
+    seed1_factor = cache.cholesky(*model);
+    EXPECT_EQ(cache.stats().hits, 1u);  // built by the request, not here
+  }
+  constexpr std::size_t kProbeHits = 1;
+  for (std::uint64_t seed = 2;
        seed <= ScenarioRunner::kMaxCachedModels + 1; ++seed) {
     ASSERT_TRUE(runner.run(synthetic_request(seed)).ok) << "seed " << seed;
   }
   EXPECT_EQ(runner.stats().model_misses, ScenarioRunner::kMaxCachedModels + 1);
-  EXPECT_EQ(runner.stats().model_hits, 0u);
+  EXPECT_EQ(runner.stats().model_hits, kProbeHits);
+  EXPECT_TRUE(seed1_factor.expired());
 
   // Seed 1 was the LRU victim when seed 65 arrived: revisiting it is a
   // rebuild...
   ASSERT_TRUE(runner.run(synthetic_request(1)).ok);
   EXPECT_EQ(runner.stats().model_misses, ScenarioRunner::kMaxCachedModels + 2);
-  EXPECT_EQ(runner.stats().model_hits, 0u);
+  EXPECT_EQ(runner.stats().model_hits, kProbeHits);
   // ...while the most recently inserted geometry is still resident.
   ASSERT_TRUE(
       runner.run(synthetic_request(ScenarioRunner::kMaxCachedModels + 1)).ok);
-  EXPECT_EQ(runner.stats().model_hits, 1u);
+  EXPECT_EQ(runner.stats().model_hits, kProbeHits + 1);
 }
 
 TEST(ScenarioRunner, ServeOutputUnchangedByMidBatchEviction) {

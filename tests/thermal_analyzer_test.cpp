@@ -242,7 +242,7 @@ TEST(Superposition, DenseAndSparseNeverShareColumns) {
   EXPECT_EQ(store.column_count(), 4u);
   automatic.simulate_session(power, 0.05);
   EXPECT_EQ(store.column_count(), 4u);
-  // A copy of the model shares its columns, as it shares identity().
+  // A copy of the model shares its columns, as it shares its factors.
   const RCModel copy(*model);
   EXPECT_EQ(&copy.unit_responses(), &store);
   // Another duration is another key.

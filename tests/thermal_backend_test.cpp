@@ -1,8 +1,8 @@
 // SolverBackend: dense and sparse backends must agree to the documented
 // 1e-9 relative tolerance on steady and transient solves (random
 // synthetic SoCs), kAuto must resolve by node count, and the sparse
-// factor/stepper cache entries must mirror the dense ones' hit / LRU /
-// invalidation semantics (thermal_solver_cache_test).
+// factor/stepper slots must mirror the dense ones' hit / per-dt /
+// no-aliasing semantics (thermal_solver_cache_test).
 #include "thermal/backend.hpp"
 
 #include <gtest/gtest.h>
@@ -198,24 +198,27 @@ TEST(SolverBackendTest, AnalyzerHonoursTheBackend) {
             kBackendTolerance);
 }
 
-// --- sparse cache entries: mirror thermal_solver_cache_test ----------
+// --- sparse factor slots: mirror thermal_solver_cache_test -----------
 
 TEST(SparseSolverCacheTest, RepeatSparseLookupsHitTheCache) {
-  ThermalSolverCache cache(8);
+  ThermalSolverCache& cache = ThermalSolverCache::instance();
   const RCModel model(nine_floorplan(), PackageParams{});
+  cache.reset_stats();
   const auto first = cache.sparse_cholesky(model);
   EXPECT_EQ(cache.stats().misses, 1u);
   const auto second = cache.sparse_cholesky(model);
   EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(first.get(), second.get());
 
-  // Dense and sparse factors of the same model are distinct entries.
-  cache.cholesky(model);
-  EXPECT_EQ(cache.stats().entries, 2u);
+  // Dense and sparse factors of the same model are distinct slots.
+  const auto dense = cache.cholesky(model);
+  EXPECT_EQ(cache.stats().misses, 2u);
+  EXPECT_NE(static_cast<const void*>(first.get()),
+            static_cast<const void*>(dense.get()));
 }
 
 TEST(SparseSolverCacheTest, DistinctModelsNeverAlias) {
-  ThermalSolverCache cache(8);
+  ThermalSolverCache& cache = ThermalSolverCache::instance();
   const RCModel a(nine_floorplan(), PackageParams{});
   const RCModel b(nine_floorplan(), PackageParams{});
   EXPECT_NE(cache.sparse_cholesky(a).get(), cache.sparse_cholesky(b).get());
@@ -223,27 +226,8 @@ TEST(SparseSolverCacheTest, DistinctModelsNeverAlias) {
   EXPECT_EQ(cache.sparse_cholesky(a).get(), cache.sparse_cholesky(copy).get());
 }
 
-TEST(SparseSolverCacheTest, InvalidateDropsSparseEntriesToo) {
-  ThermalSolverCache cache(8);
-  const RCModel a(nine_floorplan(), PackageParams{});
-  const RCModel b(quad_floorplan(), PackageParams{});
-  const auto held = cache.sparse_cholesky(a);
-  cache.sparse_stepper(a, 1e-3);
-  cache.sparse_cholesky(b);
-  EXPECT_EQ(cache.stats().entries, 3u);
-
-  cache.invalidate(a);
-  EXPECT_EQ(cache.stats().entries, 1u);  // only b's factor survives
-  cache.reset_stats();
-  cache.sparse_cholesky(b);
-  EXPECT_EQ(cache.stats().hits, 1u);
-
-  // Handed-out factors stay valid after invalidation.
-  EXPECT_NO_THROW(held->solve(std::vector<double>(a.node_count(), 1.0)));
-}
-
 TEST(SparseSolverCacheTest, SparseStepperIsCachedPerDt) {
-  ThermalSolverCache cache(8);
+  ThermalSolverCache& cache = ThermalSolverCache::instance();
   const RCModel model(nine_floorplan(), PackageParams{});
   const auto s1 = cache.sparse_stepper(model, 1e-3);
   const auto s2 = cache.sparse_stepper(model, 1e-3);
@@ -251,31 +235,9 @@ TEST(SparseSolverCacheTest, SparseStepperIsCachedPerDt) {
   EXPECT_EQ(s1.get(), s2.get());
   EXPECT_NE(s1.get(), s3.get());
   EXPECT_THROW(cache.sparse_stepper(model, 0.0), InvalidArgument);
-  // Dense and sparse steppers at the same dt are distinct entries.
+  // Dense and sparse steppers at the same dt are distinct slots.
   EXPECT_NE(static_cast<const void*>(s1.get()),
             static_cast<const void*>(cache.stepper(model, 1e-3).get()));
-}
-
-TEST(SparseSolverCacheTest, LruEvictionBeyondCapacityStaysCorrect) {
-  ThermalSolverCache small(2);
-  const RCModel a(nine_floorplan(), PackageParams{});
-  const RCModel b(quad_floorplan(), PackageParams{});
-  const RCModel c(nine_floorplan(), PackageParams{});
-  small.sparse_cholesky(a);
-  small.sparse_cholesky(b);
-  small.sparse_cholesky(c);  // evicts the LRU entry (a)
-  EXPECT_EQ(small.stats().entries, 2u);
-
-  small.reset_stats();
-  const auto refactored = small.sparse_cholesky(a);
-  EXPECT_EQ(small.stats().misses, 1u);
-  const auto power = a.expand_power(std::vector<double>(9, 10.0));
-  const auto rise = refactored->solve(power);
-  const auto expected = linalg::SparseCholeskyFactor(a.conductance_sparse())
-                            .solve(power);
-  for (std::size_t i = 0; i < rise.size(); ++i) {
-    EXPECT_DOUBLE_EQ(rise[i], expected[i]);
-  }
 }
 
 }  // namespace

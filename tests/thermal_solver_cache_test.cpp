@@ -1,13 +1,17 @@
-// ThermalSolverCache: cached solves must agree with cold solves, cache
-// entries must be invalidated by model identity (never aliased across
-// different models), and the hit/miss accounting must reflect reuse.
+// ThermalSolverCache: cached solves must agree with cold solves, factors
+// must belong to their model (shared by its copies, never aliased across
+// different models, freed with the last copy, one per model even when
+// threads race), and the hit/miss accounting must reflect reuse.
 #include "thermal/solver_cache.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
+#include <thread>
 #include <vector>
 
+#include "floorplan/generator.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/lu.hpp"
 #include "test_helpers.hpp"
@@ -81,20 +85,39 @@ TEST(ThermalSolverCacheTest, RepeatLookupsHitTheCache) {
 }
 
 TEST(ThermalSolverCacheTest, CopiesShareIdentityAndFactors) {
+  // A copy holds the same factor store: every factor kind, and the
+  // dense mirror, is built once for the model and all its copies —
+  // whether the copy was taken before or after the factor was built.
   ThermalSolverCache& cache = ThermalSolverCache::instance();
   const RCModel model(nine_floorplan(), PackageParams{});
-  const RCModel copy = model;  // NOLINT(performance-unnecessary-copy-initialization)
-  EXPECT_EQ(model.identity(), copy.identity());
-  EXPECT_EQ(cache.cholesky(model).get(), cache.cholesky(copy).get());
+  const RCModel early = model;  // NOLINT(performance-unnecessary-copy-initialization)
+  const auto factor = cache.cholesky(model);
+  RCModel late(quad_floorplan(), PackageParams{});
+  late = model;
+  EXPECT_EQ(factor.get(), cache.cholesky(early).get());
+  EXPECT_EQ(factor.get(), cache.cholesky(late).get());
+  EXPECT_EQ(cache.lu(early).get(), cache.lu(late).get());
+  EXPECT_EQ(cache.sparse_cholesky(early).get(),
+            cache.sparse_cholesky(model).get());
+  EXPECT_EQ(cache.stepper(late, 1e-3).get(), cache.stepper(model, 1e-3).get());
+  EXPECT_EQ(cache.sparse_stepper(early, 1e-3).get(),
+            cache.sparse_stepper(late, 1e-3).get());
+  EXPECT_EQ(&model.conductance(), &early.conductance());
+  EXPECT_EQ(&model.conductance(), &late.conductance());
+
+  const GridThermalModel grid(quad_floorplan(), PackageParams{},
+                              GridOptions{4, 4});
+  const GridThermalModel grid_copy = grid;  // NOLINT(performance-unnecessary-copy-initialization)
+  EXPECT_EQ(cache.sparse_cholesky(grid).get(),
+            cache.sparse_cholesky(grid_copy).get());
 }
 
 TEST(ThermalSolverCacheTest, DistinctModelsNeverAliasEntries) {
   ThermalSolverCache& cache = ThermalSolverCache::instance();
-  // Identical construction parameters still yield distinct identities —
-  // a rebuilt model can never pick up a stale factor.
+  // Identical construction parameters still yield distinct stores — a
+  // rebuilt model can never pick up a stale factor.
   const RCModel a(nine_floorplan(), PackageParams{});
   const RCModel b(nine_floorplan(), PackageParams{});
-  EXPECT_NE(a.identity(), b.identity());
   EXPECT_NE(cache.cholesky(a).get(), cache.cholesky(b).get());
 
   // A genuinely different model (hotter package) must produce different
@@ -108,29 +131,10 @@ TEST(ThermalSolverCacheTest, DistinctModelsNeverAliasEntries) {
   EXPECT_GT(warm.rise[4], cool.rise[4]);
 }
 
-TEST(ThermalSolverCacheTest, InvalidateDropsOnlyThatModel) {
-  ThermalSolverCache& cache = ThermalSolverCache::instance();
-  const RCModel a(nine_floorplan(), PackageParams{});
-  const RCModel b(quad_floorplan(), PackageParams{});
-  const auto factor_a = cache.cholesky(a);
-  const auto factor_b = cache.cholesky(b);
-
-  cache.invalidate(a);
-  cache.reset_stats();
-  cache.cholesky(a);  // must refactor
-  cache.cholesky(b);  // must still be cached
-  const auto stats = cache.stats();
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.hits, 1u);
-
-  // The handed-out factor stays usable after invalidation.
-  EXPECT_NO_THROW(factor_a->solve(std::vector<double>(a.node_count(), 1.0)));
-}
-
 TEST(ThermalSolverCacheTest, GridModelFactorsHitTheCache) {
-  // GridThermalModel keys live in the same cache as RCModel keys
-  // (shared identity counter): repeat lookups must hit, and the dense
-  // and sparse flavours are separate entries.
+  // GridThermalModel factors go through the same fetch path as RCModel
+  // factors: repeat lookups must hit, and the dense and sparse flavours
+  // are separate slots.
   ThermalSolverCache& cache = ThermalSolverCache::instance();
   const GridThermalModel grid(quad_floorplan(), PackageParams{},
                               GridOptions{6, 6});
@@ -148,62 +152,15 @@ TEST(ThermalSolverCacheTest, GridModelFactorsHitTheCache) {
 }
 
 TEST(ThermalSolverCacheTest, GridAndBlockModelsNeverAlias) {
-  // The shared identity counter guarantees a grid model and a block
-  // model can never collide on a key, whatever their construction
-  // order or node counts.
+  // Each model owns its own store, so a grid model and a block model
+  // built from the same floorplan never share a factor.
   ThermalSolverCache& cache = ThermalSolverCache::instance();
   const RCModel block(quad_floorplan(), PackageParams{});
   const GridThermalModel grid(quad_floorplan(), PackageParams{},
                               GridOptions{6, 6});
-  EXPECT_NE(block.identity(), grid.identity());
   EXPECT_NE(
       static_cast<const void*>(cache.sparse_cholesky(block).get()),
       static_cast<const void*>(cache.sparse_cholesky(grid).get()));
-}
-
-TEST(ThermalSolverCacheTest, InvalidateDropsGridEntries) {
-  ThermalSolverCache& cache = ThermalSolverCache::instance();
-  const GridThermalModel grid(quad_floorplan(), PackageParams{},
-                              GridOptions{5, 5});
-  const RCModel block(nine_floorplan(), PackageParams{});
-  const auto grid_factor = cache.sparse_cholesky(grid);
-  cache.cholesky(grid);
-  cache.cholesky(block);
-
-  cache.invalidate(grid);
-  cache.reset_stats();
-  cache.sparse_cholesky(grid);  // must refactor
-  cache.cholesky(grid);         // must refactor
-  cache.cholesky(block);        // untouched by the grid invalidation
-  const auto stats = cache.stats();
-  EXPECT_EQ(stats.misses, 2u);
-  EXPECT_EQ(stats.hits, 1u);
-
-  // Handed-out factors stay valid after invalidation.
-  EXPECT_NO_THROW(
-      grid_factor->solve(std::vector<double>(grid.node_count(), 1.0)));
-}
-
-TEST(ThermalSolverCacheTest, GridKeysParticipateInLruEviction) {
-  // A small-capacity cache cycled over many grid models must keep
-  // working (evicted keys simply refactor) — mirrors the RCModel LRU
-  // test for the grid key space.
-  ThermalSolverCache cache(2);
-  std::vector<std::unique_ptr<GridThermalModel>> models;
-  for (int i = 0; i < 4; ++i) {
-    models.push_back(std::make_unique<GridThermalModel>(
-        quad_floorplan(), PackageParams{}, GridOptions{4, 4}));
-    cache.sparse_cholesky(*models.back());
-  }
-  EXPECT_LE(cache.stats().entries, 2u);
-
-  // The oldest model was evicted: looking it up again refactors but
-  // still yields a correct, usable factor.
-  cache.reset_stats();
-  const auto refactored = cache.sparse_cholesky(*models.front());
-  EXPECT_EQ(cache.stats().misses, 1u);
-  EXPECT_NO_THROW(refactored->solve(
-      std::vector<double>(models.front()->node_count(), 1.0)));
 }
 
 TEST(ThermalSolverCacheTest, TransientStepperIsCachedPerDt) {
@@ -224,7 +181,7 @@ TEST(ThermalSolverCacheTest, RepeatedTransientSimulationsAgreeExactly) {
   TransientOptions options;
   options.dt = 1e-3;
 
-  ThermalSolverCache::instance().invalidate(model);  // cold first run
+  // A freshly built model: the first run factors, the second reuses.
   const TransientResult cold =
       simulate_transient(model, block_power, 0.02, initial, options);
   const TransientResult cached =
@@ -236,36 +193,98 @@ TEST(ThermalSolverCacheTest, RepeatedTransientSimulationsAgreeExactly) {
   }
 }
 
-TEST(ThermalSolverCacheTest, EvictionBeyondCapacityStaysCorrect) {
-  ThermalSolverCache small(2);
-  const RCModel a(nine_floorplan(), PackageParams{});
-  const RCModel b(quad_floorplan(), PackageParams{});
-  const RCModel c(nine_floorplan(), PackageParams{});
-  small.cholesky(a);
-  small.cholesky(b);
-  small.cholesky(c);  // evicts the LRU entry (a)
-  EXPECT_EQ(small.stats().entries, 2u);
-
-  small.reset_stats();
-  const auto refactored = small.cholesky(a);
-  EXPECT_EQ(small.stats().misses, 1u);
-  // Still solves correctly after the round-trip through eviction.
-  const auto rise = refactored->solve(a.expand_power(centre_power(9, 10.0)));
-  const auto expected =
-      linalg::CholeskyFactor(a.conductance()).solve(a.expand_power(centre_power(9, 10.0)));
-  for (std::size_t i = 0; i < rise.size(); ++i) {
-    EXPECT_DOUBLE_EQ(rise[i], expected[i]);
-  }
+TEST(ThermalSolverCacheTest, ClearEmptiesTheCache) {
+  // The cache itself holds no factors, so clear() has nothing to empty:
+  // the model's factors survive it and the next fetch is a hit.
+  ThermalSolverCache& cache = ThermalSolverCache::instance();
+  const RCModel model(quad_floorplan(), PackageParams{});
+  const auto factor = cache.cholesky(model);
+  const auto stepper = cache.stepper(model, 1e-3);
+  cache.clear();
+  cache.reset_stats();
+  EXPECT_EQ(cache.cholesky(model).get(), factor.get());
+  EXPECT_EQ(cache.stepper(model, 1e-3).get(), stepper.get());
+  EXPECT_EQ(cache.stats().hits, 2u);
+  EXPECT_EQ(cache.stats().misses, 0u);
 }
 
-TEST(ThermalSolverCacheTest, ClearEmptiesTheCache) {
-  ThermalSolverCache cache(8);
-  const RCModel model(quad_floorplan(), PackageParams{});
-  cache.cholesky(model);
-  cache.stepper(model, 1e-3);
-  EXPECT_EQ(cache.stats().entries, 2u);
-  cache.clear();
-  EXPECT_EQ(cache.stats().entries, 0u);
+TEST(ThermalSolverCacheTest, FactorsAreFreedWithTheLastCopyOfTheirModel) {
+  ThermalSolverCache& cache = ThermalSolverCache::instance();
+  auto model = std::make_unique<RCModel>(nine_floorplan(), PackageParams{});
+  const std::weak_ptr<const linalg::CholeskyFactor> cholesky =
+      cache.cholesky(*model);
+  const std::weak_ptr<const linalg::LuFactor> lu = cache.lu(*model);
+  const std::weak_ptr<const linalg::SparseCholeskyFactor> sparse =
+      cache.sparse_cholesky(*model);
+  const std::weak_ptr<const linalg::LinearImplicitStepper> stepper =
+      cache.stepper(*model, 1e-3);
+  const std::weak_ptr<const linalg::SparseImplicitStepper> sparse_stepper =
+      cache.sparse_stepper(*model, 1e-3);
+
+  // A surviving copy keeps them alive...
+  auto copy = std::make_unique<RCModel>(*model);
+  model.reset();
+  EXPECT_FALSE(cholesky.expired());
+  EXPECT_FALSE(lu.expired());
+  EXPECT_FALSE(sparse.expired());
+  EXPECT_FALSE(stepper.expired());
+  EXPECT_FALSE(sparse_stepper.expired());
+  EXPECT_EQ(cache.cholesky(*copy).get(), cholesky.lock().get());
+
+  // ...and the last copy takes them with it.
+  copy.reset();
+  EXPECT_TRUE(cholesky.expired());
+  EXPECT_TRUE(lu.expired());
+  EXPECT_TRUE(sparse.expired());
+  EXPECT_TRUE(stepper.expired());
+  EXPECT_TRUE(sparse_stepper.expired());
+
+  auto grid = std::make_unique<GridThermalModel>(
+      quad_floorplan(), PackageParams{}, GridOptions{4, 4});
+  const std::weak_ptr<const linalg::CholeskyFactor> grid_dense =
+      cache.cholesky(*grid);
+  const std::weak_ptr<const linalg::SparseCholeskyFactor> grid_sparse =
+      cache.sparse_cholesky(*grid);
+  grid.reset();
+  EXPECT_TRUE(grid_dense.expired());
+  EXPECT_TRUE(grid_sparse.expired());
+}
+
+TEST(ThermalSolverCacheTest, ThreadsRacingOnAColdModelGetOneFactor) {
+  // 16×16 blocks (266 nodes): each factorization takes long enough for
+  // the threads to overlap. Every thread must come back with the one
+  // factor that won the first insert, whoever built it.
+  ThermalSolverCache& cache = ThermalSolverCache::instance();
+  const RCModel model(floorplan::make_grid_floorplan(16, 16, 0.016, 0.016),
+                      PackageParams{});
+  constexpr std::size_t kThreads = 8;
+  std::vector<const void*> dense(kThreads), sparse(kThreads),
+      stepper(kThreads), mirror(kThreads);
+  std::atomic<std::size_t> ready{0};
+  cache.reset_stats();
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      dense[t] = cache.cholesky(model).get();
+      sparse[t] = cache.sparse_cholesky(model).get();
+      stepper[t] = cache.stepper(model, 1e-3).get();
+      mirror[t] = &model.conductance();
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (std::size_t t = 1; t < kThreads; ++t) {
+    EXPECT_EQ(dense[t], dense[0]);
+    EXPECT_EQ(sparse[t], sparse[0]);
+    EXPECT_EQ(stepper[t], stepper[0]);
+    EXPECT_EQ(mirror[t], mirror[0]);
+  }
+  const ThermalSolverCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.hits + stats.misses, 3 * kThreads);
+  EXPECT_GE(stats.misses, 3u);
+  // Once the race is over, the winners stay.
+  EXPECT_EQ(cache.cholesky(model).get(), dense[0]);
 }
 
 }  // namespace
