@@ -1,11 +1,14 @@
 // Properties of the workload generator: determinism per seed, the
 // parse/canonical-serialize fixpoint for every emitted line, statistical
-// accuracy of the dup/kind-mix knobs, arrival-order patterns, and exact
-// config-validation messages. These are the contracts docs/GEN.md
-// documents and bench_gen gates on.
+// accuracy of the dup/kind-mix knobs, arrival-order patterns (and a golden
+// pin of the cost estimates they sort by), and exact config-validation
+// messages. These are the contracts docs/GEN.md documents and bench_gen
+// gates on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <iterator>
 #include <map>
 #include <set>
 #include <sstream>
@@ -15,6 +18,8 @@
 #include "gen/generator.hpp"
 #include "scenario/request.hpp"
 #include "util/error.hpp"
+#include "util/hash.hpp"
+#include "util/json.hpp"
 
 namespace thermo::gen {
 namespace {
@@ -259,6 +264,89 @@ TEST(GenOrder, NamesRoundTrip) {
     EXPECT_EQ(order_pattern_from_name(order_pattern_name(order)), order);
   }
   EXPECT_FALSE(order_pattern_from_name("random").has_value());
+}
+
+// Golden pin of the cost estimates the order patterns sort by. The
+// values are scenario::estimate_request_cost per line, printed with
+// format_json_number (shortest round-trip), for a sorted-desc stream
+// that mixes all four kinds. The default core ladder's sparse rungs sit
+// at 256 and 512 nodes, where the predicted fill n·(4 + log2 n) is an
+// integer; the extra 300-core rung (310 nodes) and the grid lines make
+// it fractional, so a one-ulp change in the sparse solve term moves 28
+// of the 300 estimates and fails here.
+// The stream hash pins the line bytes (fnv1a64 over what write_stream
+// emits): a change in any estimate's ranking reorders the stream and
+// moves it. Any deliberate change to the cost model needs a re-bless
+// recorded in CHANGES.md.
+GenConfig cost_golden_config() {
+  GenConfig config;
+  config.seed = 11;
+  config.count = 300;
+  config.dup_rate = 0.1;
+  config.mix.grid = 0.05;
+  config.core_ladder = {8, 16, 34, 64, 128, 246, 300, 502};
+  config.order = OrderPattern::kSortedDesc;
+  return config;
+}
+
+constexpr const char* kGoldenCosts[] = {
+    "14025960", "6733824", "5630500", "4889064", "4889064", "4889064",
+    "4889064", "4889064", "4889064", "4889064", "2637360", "2637360",
+    "2637360", "2637360", "2637360", "2314359.139381008", "2314359.139381008",
+    "2314359.139381008", "2314359.139381008", "2314359.139381008", "2122984",
+    "2122984", "2122984", "2122984", "1877500", "1877500", "1877500",
+    "1877500", "1877500", "1877500", "1877500", "1877500", "1877500",
+    "1877500", "1877500", "1877500", "1877500", "1877500", "1877500",
+    "1877500", "1537024", "1537024", "1537024", "1537024", "1537024",
+    "1537024", "1537024", "1537024", "1216900", "708328", "708328", "708328",
+    "708328", "708328", "708328", "708328", "708328", "708328",
+    "478533.5867879365", "478533.5867879365", "435240", "435240", "435240",
+    "435240", "435240", "435240", "435240", "435240", "435240", "435240",
+    "435240", "435240", "435240", "435240", "435240", "435240", "406300",
+    "406300", "406300", "406300", "406300", "406300", "406144", "406144",
+    "296156.43135226925", "296156.43135226925", "296156.43135226925",
+    "159474.16283800776", "159474.16283800776", "159474.16283800776",
+    "159474.16283800776", "159474.16283800776", "136048", "136048", "136048",
+    "136048", "136048", "136048", "136048", "105480", "105480", "105480",
+    "105480", "105480", "105480", "105480", "105480", "105480", "105480",
+    "105480", "105480", "105480", "105480", "105480", "105480", "105480",
+    "105480", "105480", "105480", "105480", "70696", "70696", "70696",
+    "70696", "70696", "66760.44454711792", "66760.44454711792",
+    "66760.44454711792", "66760.44454711792", "61750", "61750", "61750",
+    "61750", "61750", "61750", "61750", "61750", "61750", "61750", "61750",
+    "24232", "24232", "24232", "24232", "24232", "24232", "24232", "24232",
+    "24232", "24232", "24232", "24232", "24232", "24232", "24232", "24232",
+    "24232", "24232", "24232", "21250", "21250", "21250", "21250", "21250",
+    "21250", "21250", "21250", "21250", "21250", "21250", "21250", "21250",
+    "18952", "18952", "18952", "18952", "18952", "18952", "18952", "18952",
+    "18952", "18952", "18952", "18952", "18952", "18952", "18952", "18952",
+    "18952", "18952", "18952", "18952", "15238", "15238", "15238", "15238",
+    "14902", "14902", "14902", "12916", "12916", "10930", "8944", "6984",
+    "6984", "6984", "6984", "6984", "6984", "6984", "6984", "6984", "6984",
+    "6984", "6984", "6984", "6984", "6984", "6984", "6984", "6984", "6984",
+    "6984", "6984", "6984", "6984", "6984", "6984", "6984", "6984", "6984",
+    "6984", "6984", "6984", "6984", "6984", "6984", "6984", "6984", "6984",
+    "6984", "6984", "6984", "6984", "6984", "6984", "6984", "6984", "6984",
+    "6984", "6984", "6958", "6958", "6808", "6400", "5746", "5746", "5746",
+    "5746", "5746", "5746", "5746", "5746", "5746", "5746", "5746", "5746",
+    "5746", "5746", "5746", "5746", "5746", "5746", "5725", "5725", "5725",
+    "5725", "5356", "5356", "5356", "5050", "5050", "4375", "3904", "3712",
+    "3712", "3712", "3700", "3373", "3373", "3034", "3025", "3025", "2695",
+    "2695", "2356", "2356", "2017", "2017", "2017",
+};
+
+constexpr std::uint64_t kGoldenStreamHash = 0x04fb53a5754a2b0full;
+
+TEST(GenCostGolden, SortedDescCostsAndBytesArePinned) {
+  const GeneratedStream stream = generate_stream(cost_golden_config());
+  ASSERT_EQ(stream.costs.size(), std::size(kGoldenCosts));
+  for (std::size_t i = 0; i < stream.costs.size(); ++i) {
+    EXPECT_EQ(format_json_number(stream.costs[i]), kGoldenCosts[i])
+        << "line " << i << ": " << stream.lines[i];
+  }
+  std::ostringstream bytes;
+  write_stream(stream, bytes);
+  EXPECT_EQ(fnv1a64(bytes.str()), kGoldenStreamHash);
 }
 
 // --- config validation ------------------------------------------------
