@@ -24,7 +24,7 @@
 //             Schema: docs/SERVE.md.
 //             Options: --in PATH|-, --out PATH|-, --threads,
 //             --schedule-policy fifo|ljf,
-//             --dedup on|off, --calibrate on|off,
+//             --dedup on|off,
 //             --summary-json PATH, --cache-dir PATH (persistent
 //             disk-backed result cache — docs/PERSIST.md),
 //             --trace PATH, --metrics-json PATH, --metrics
@@ -59,10 +59,8 @@
 
 #include "core/stcl_sweep.hpp"
 #include "core/thermal_scheduler.hpp"
-#include "dispatch/calibrator.hpp"
 #include "dispatch/disk_result_memo.hpp"
 #include "dispatch/engine.hpp"
-#include "persist/blob_file.hpp"
 #include "persist/segment_store.hpp"
 #include "floorplan/flp_io.hpp"
 #include "gen/generator.hpp"
@@ -106,7 +104,6 @@ struct CommonArgs {
   std::string out_path = "-";
   std::string schedule_policy = "fifo";
   std::string dedup = "on";
-  std::string calibrate = "on";
   std::string summary_json_path;
   // serve observability artifacts (docs/OBSERVABILITY.md) — none of
   // these may change the results stream's bytes.
@@ -170,14 +167,6 @@ bool parse_dedup(const std::string& value) {
   if (value == "on") return true;
   if (value == "off") return false;
   throw InvalidArgument("invalid --dedup value '" + value +
-                        "' (expected 'on' or 'off')");
-}
-
-/// "on" | "off" -> bool; anything else is a usage error (exit 2).
-bool parse_calibrate(const std::string& value) {
-  if (value == "on") return true;
-  if (value == "off") return false;
-  throw InvalidArgument("invalid --calibrate value '" + value +
                         "' (expected 'on' or 'off')");
 }
 
@@ -247,7 +236,7 @@ void print_global_usage(std::ostream& out) {
          "            thread count, policy, and dedup setting)\n"
          "            [--in PATH|-] [--out PATH|-] [--threads N]\n"
          "            [--schedule-policy fifo|ljf]\n"
-         "            [--dedup on|off] [--calibrate on|off]\n"
+         "            [--dedup on|off]\n"
          "            [--summary-json PATH] [--solver-backend B]\n"
          "            [--cache-dir PATH] [--trace PATH]\n"
          "            [--metrics-json PATH] [--metrics]\n"
@@ -276,10 +265,7 @@ void print_global_usage(std::ostream& out) {
          "input order) or 'ljf' (longest-job-first; cuts makespan on\n"
          "skewed batches). --dedup ('on' default) memoizes result\n"
          "records by request content so duplicate requests execute once.\n"
-         "--calibrate ('on' default) fits the cost model's constants\n"
-         "from measured wall times (docs/DISPATCH.md); with --cache-dir\n"
-         "the fit persists across restarts. None of these change the\n"
-         "output bytes.\n"
+         "Neither changes the output bytes.\n"
          "--summary-json writes per-batch execution stats (makespan,\n"
          "tail latency, memo hit rate, per-request timings) to PATH.\n"
          "--trace records per-thread spans for the batch and writes\n"
@@ -465,36 +451,6 @@ int cmd_serve(const CommonArgs& args) {
     }
   }
 
-  // Self-calibrating cost model (--calibrate on, the default): estimate
-  // placement costs with constants fitted from measured wall times.
-  // With --cache-dir the fit's state persists next to the result cache
-  // ("calibration.v1"), so a restarted server starts warm. Persistence
-  // problems are never fatal: a torn or unreadable record just means
-  // starting from the hand-tuned defaults.
-  std::unique_ptr<dispatch::CostCalibrator> calibrator;
-  const std::string calibration_path =
-      args.cache_dir.empty() ? "" : args.cache_dir + "/" + "calibration.v1";
-  if (parse_calibrate(args.calibrate)) {
-    calibrator = std::make_unique<dispatch::CostCalibrator>();
-    if (!calibration_path.empty()) {
-      try {
-        if (const auto payload = persist::read_blob_file(
-                persist::real_fs(), calibration_path)) {
-          if (auto restored = dispatch::CostCalibrator::deserialize(*payload)) {
-            *calibrator = std::move(*restored);
-          } else {
-            std::cerr << "note: ignoring damaged calibration state in '"
-                      << calibration_path << "'\n";
-          }
-        }
-      } catch (const persist::IoError& e) {
-        std::cerr << "note: cannot read calibration state: " << e.what()
-                  << '\n';
-      }
-    }
-    options.calibrator = calibrator.get();
-  }
-
   // --trace records per-thread spans for exactly the batch window; the
   // recorder is started before the first request is parsed and stopped
   // before any artifact is written, so the trace never observes its own
@@ -507,14 +463,6 @@ int cmd_serve(const CommonArgs& args) {
       scenario::serve_stream(in, out, runner, options);
   if (tracing) trace.stop();
 
-  if (calibrator != nullptr && !calibration_path.empty()) {
-    try {
-      persist::write_blob_file(persist::real_fs(), args.cache_dir,
-                               "calibration.v1", calibrator->serialize());
-    } catch (const persist::IoError& e) {
-      std::cerr << "note: cannot save calibration state: " << e.what() << '\n';
-    }
-  }
   // A full disk or closed pipe must be a runtime error, not a silent
   // success with a truncated results file.
   out.flush();
@@ -588,12 +536,6 @@ int cmd_serve(const CommonArgs& args) {
     std::cerr << "; disk cache: " << summary.disk_hits << " hits, "
               << summary.disk_records << " records in "
               << summary.disk_segments << " segments";
-  }
-  if (summary.calibration_enabled) {
-    std::cerr << "; calibration: " << summary.calibration_samples
-              << " samples"
-              << (summary.calibration_active ? " (fitted constants)"
-                                             : " (warming up)");
   }
   if (summary.deadline_requests > 0) {
     std::cerr << "; deadlines: " << summary.deadline_met << "/"
@@ -823,11 +765,6 @@ int main(int argc, char** argv) {
                    "Memoize results by request content, on or off "
                    "(duplicate requests execute once; output unchanged)",
                    &args.dedup);
-    cli.add_string("calibrate",
-                   "Fit cost-model constants from measured wall times, "
-                   "on (default) or off; with --cache-dir the fit "
-                   "persists across restarts (output unchanged)",
-                   &args.calibrate);
     cli.add_string("summary-json",
                    "Write per-batch execution stats (makespan, tail "
                    "latency, memo hit rate, per-request timings) to PATH",
@@ -917,7 +854,6 @@ int main(int argc, char** argv) {
     if (is_serve) {
       parse_schedule_policy(args.schedule_policy);
       parse_dedup(args.dedup);
-      parse_calibrate(args.calibrate);
     }
     if (is_gen) {
       parse_order_pattern(args.gen_order);

@@ -14,7 +14,7 @@
 // min makespan wins) and every run's output must be byte-identical to a
 // 1-thread reference — placement may never change the bytes.
 //
-// The JSON record (schema "thermo.bench_dispatch.v4") is CI-gated:
+// The JSON record (schema "thermo.bench_dispatch.v5") is CI-gated:
 //   * virtual_ljf_makespan < virtual_fifo_makespan: each policy's start
 //     order (dispatch::sort_for_policy, what run_batch executes) is
 //     played on `--threads` workers on a virtual clock where every
@@ -27,12 +27,8 @@
 //     one shared memo must answer every second-pass request from it;
 //   * cost_rank_ok: the CostModel must rank the whale as the most
 //     expensive request AND the measured per-request wall times must
-//     agree — the calibration check that keeps ljf meaningful;
-//   * calibration.improved: on a generated stream, a calibrator trained
-//     on one pass must estimate the next pass strictly better (median
-//     relative error, scale-free) than the hand-tuned constants;
-//   * deterministic also covers calibrate on/off — placement inputs may
-//     never change the bytes.
+//     agree — the check that keeps ljf meaningful;
+//   * deterministic: every run above reproduces the reference bytes.
 #include <algorithm>
 #include <fstream>
 #include <iostream>
@@ -41,10 +37,8 @@
 #include <string>
 #include <vector>
 
-#include "dispatch/calibrator.hpp"
 #include "dispatch/engine.hpp"
 #include "dispatch/result_memo.hpp"
-#include "gen/generator.hpp"
 #include "scenario/cost.hpp"
 #include "scenario/request.hpp"
 #include "scenario/serve.hpp"
@@ -215,45 +209,6 @@ int main(int argc, char** argv) {
         static_cast<double>(memo_second.summary.memo_hits) /
         static_cast<double>(request_count);
 
-    // Calibration: a mixed generated stream served three times at one
-    // thread through one warm runner — a warm-up pass (model builds must
-    // not pollute the training measurements), a training pass that
-    // folds its (features, wall) pairs into the calibrator, and an
-    // evaluation pass whose summary scores the hand-tuned constants
-    // against the post-pass fit on identical work. The fit must win.
-    gen::GenConfig calib_config;
-    calib_config.seed = 11;
-    calib_config.count = 48;  // > CostCalibrator::kMinSamples
-    calib_config.zipf_skew = 0.7;
-    const gen::GeneratedStream calib_stream = gen::generate_stream(calib_config);
-    std::string calib_requests;
-    for (const std::string& line : calib_stream.lines) {
-      calib_requests += line + "\n";
-    }
-    scenario::ScenarioRunner calib_runner;
-    scenario::ServeOptions warmup_options;
-    warmup_options.threads = 1;
-    warmup_options.dedup = false;
-    const Run calib_warmup = run_batch(calib_requests, warmup_options,
-                                       &calib_runner);
-    THERMO_REQUIRE(calib_warmup.summary.failed == 0,
-                   "calibration stream had failing requests");
-    dispatch::CostCalibrator calibrator;
-    scenario::ServeOptions calib_options = warmup_options;
-    calib_options.calibrator = &calibrator;
-    const Run calib_train = run_batch(calib_requests, calib_options,
-                                      &calib_runner);
-    const Run calib_eval = run_batch(calib_requests, calib_options,
-                                     &calib_runner);
-    deterministic = deterministic &&
-                    calib_train.output == calib_warmup.output &&
-                    calib_eval.output == calib_warmup.output;
-    THERMO_REQUIRE(calib_eval.summary.calibration_active,
-                   "calibrator not ready after the training pass");
-    const double fixed_error = calib_eval.summary.fixed_error;
-    const double calibrated_error = calib_eval.summary.calibrated_error;
-    const bool calibration_improved = calibrated_error < fixed_error;
-
     std::cout << "dispatch batch: " << request_count << " requests ("
               << small_count << " small + 1 whale, whale last), "
               << threads << " threads, " << reps << " reps\n"
@@ -273,15 +228,10 @@ int main(int argc, char** argv) {
               << "  memo 2nd pass: " << memo_second.summary.memo_hits << "/"
               << request_count << " hits ("
               << format_double(memo_hit_rate * 100.0, 1) << "%)\n"
-              << "  calibration  : median rel error "
-              << format_double(fixed_error, 3) << " fixed -> "
-              << format_double(calibrated_error, 3) << " fitted ("
-              << calibrator.samples() << " samples, "
-              << (calibration_improved ? "improved" : "NOT IMPROVED") << ")\n"
               << "  deterministic: " << (deterministic ? "yes" : "NO") << '\n';
     if (!json_path.empty()) {
       JsonValue record = JsonValue::object();
-      record.set("schema", JsonValue::string("thermo.bench_dispatch.v4"));
+      record.set("schema", JsonValue::string("thermo.bench_dispatch.v5"));
       record.set("requests",
                  JsonValue::number(static_cast<double>(request_count)));
       record.set("small_requests",
@@ -308,13 +258,6 @@ int main(int argc, char** argv) {
                                   memo_second.summary.memo_hits)));
       record.set("memo_hit_rate", JsonValue::number(memo_hit_rate));
       record.set("deterministic", JsonValue::boolean(deterministic));
-      JsonValue calibration = JsonValue::object();
-      calibration.set("samples", JsonValue::number(static_cast<double>(
-                                     calibrator.samples())));
-      calibration.set("fixed_error", JsonValue::number(fixed_error));
-      calibration.set("calibrated_error", JsonValue::number(calibrated_error));
-      calibration.set("improved", JsonValue::boolean(calibration_improved));
-      record.set("calibration", std::move(calibration));
       std::ofstream out(json_path);
       THERMO_REQUIRE(static_cast<bool>(out),
                      "cannot open --json path for writing");
@@ -343,13 +286,6 @@ int main(int argc, char** argv) {
                 << ") did not beat fifo's ("
                 << format_double(virtual_fifo, 0) << ") on "
                 << threads << " workers\n";
-      return 1;
-    }
-    if (!calibration_improved) {
-      std::cerr << "error: calibrated estimate error "
-                << format_double(calibrated_error, 4)
-                << " did not beat fixed constants "
-                << format_double(fixed_error, 4) << '\n';
       return 1;
     }
     return 0;

@@ -3,11 +3,11 @@
 # scoreboard — the generator only draws the tight 1e-7 s deadline (every
 # executed request misses it on any machine) and the generous 1e6 s one
 # (never missed) — and (b) produce byte-identical results across
-# {1,4} threads x {fifo,ljf} x --calibrate {on,off}: placement and the
-# self-calibrating cost model may change when work runs, never what is
-# written. Also checks the summary JSON keeps the v1 schema needle while
-# carrying the slo + calibration sections, and that the removed edf
-# policy is a usage error (exit 2) whose message names fifo and ljf.
+# {1,4} threads x {fifo,ljf}: placement may change when work runs,
+# never what is written. Also checks the summary JSON carries the v2
+# schema needle and the slo section, that the removed edf policy is a
+# usage error (exit 2) whose message names fifo and ljf, and that the
+# removed --calibrate flag is an unknown-flag usage error (exit 2).
 #
 # Usage: cmake -DSERVE_BIN=<thermosched> -DWORK_DIR=<scratch dir>
 #              -P RunEdfServeSmoke.cmake
@@ -16,7 +16,7 @@ if(NOT SERVE_BIN OR NOT WORK_DIR)
 endif()
 file(MAKE_DIRECTORY "${WORK_DIR}")
 set(requests "${WORK_DIR}/requests_deadlined.jsonl")
-set(reference "${WORK_DIR}/results_fifo_t1_on.jsonl")
+set(reference "${WORK_DIR}/results_fifo_t1.jsonl")
 set(summary "${WORK_DIR}/summary_fifo.json")
 
 # Seeded stream: 24 requests, small sizes (zipf 1.6 keeps the ladder's
@@ -43,10 +43,10 @@ if(tight_count EQUAL 0 OR generous_count EQUAL 0)
     "generous=${generous_count}):\n${request_text}")
 endif()
 
-# Reference: fifo on 1 thread with calibration on, plus the summary JSON.
+# Reference: fifo on 1 thread, plus the summary JSON.
 execute_process(
   COMMAND "${SERVE_BIN}" serve --in "${requests}" --out "${reference}"
-          --threads 1 --schedule-policy fifo --calibrate on
+          --threads 1 --schedule-policy fifo
           --summary-json "${summary}"
   ERROR_VARIABLE serve_err
   RESULT_VARIABLE serve_rc)
@@ -58,28 +58,22 @@ endif()
 # quoted item is one ;-separated record — foreach over ITEMS keeps them
 # intact where a LISTS variable would flatten.)
 foreach(config
-    "1;fifo;off;results_fifo_t1_off.jsonl"
-    "4;fifo;on;results_fifo_t4_on.jsonl"
-    "4;fifo;off;results_fifo_t4_off.jsonl"
-    "1;ljf;on;results_ljf_t1_on.jsonl"
-    "1;ljf;off;results_ljf_t1_off.jsonl"
-    "4;ljf;on;results_ljf_t4_on.jsonl"
-    "4;ljf;off;results_ljf_t4_off.jsonl")
+    "4;fifo;results_fifo_t4.jsonl"
+    "1;ljf;results_ljf_t1.jsonl"
+    "4;ljf;results_ljf_t4.jsonl")
   list(GET config 0 threads)
   list(GET config 1 policy)
-  list(GET config 2 calibrate)
-  list(GET config 3 outname)
+  list(GET config 2 outname)
   set(outfile "${WORK_DIR}/${outname}")
   execute_process(
     COMMAND "${SERVE_BIN}" serve --in "${requests}" --out "${outfile}"
             --threads ${threads} --schedule-policy ${policy}
-            --calibrate ${calibrate}
     ERROR_VARIABLE serve_err
     RESULT_VARIABLE serve_rc)
   if(NOT serve_rc EQUAL 0)
     message(FATAL_ERROR
-      "serve --threads ${threads} --schedule-policy ${policy} --calibrate "
-      "${calibrate} exited with ${serve_rc}\n${serve_err}")
+      "serve --threads ${threads} --schedule-policy ${policy} exited with "
+      "${serve_rc}\n${serve_err}")
   endif()
   execute_process(
     COMMAND ${CMAKE_COMMAND} -E compare_files "${reference}" "${outfile}"
@@ -87,9 +81,8 @@ foreach(config
   if(NOT cmp_rc EQUAL 0)
     message(FATAL_ERROR
       "serve output differs from the 1-thread fifo reference for "
-      "--threads ${threads} --schedule-policy ${policy} --calibrate "
-      "${calibrate} (${reference} vs ${outfile}) — the dispatch layer "
-      "lost determinism")
+      "--threads ${threads} --schedule-policy ${policy} (${reference} vs "
+      "${outfile}) — the dispatch layer lost determinism")
   endif()
 endforeach()
 
@@ -101,15 +94,14 @@ if(NOT ok_count EQUAL 24)
     "expected 24 ok:true records, got ${ok_count}:\n${results}")
 endif()
 
-# Summary: v1 schema survives, the slo scoreboard is exactly the pinned
-# counts, and the calibration section is present.
+# Summary: v2 schema, and the slo scoreboard is exactly the pinned
+# counts.
 file(READ "${summary}" summary_text)
 math(EXPR deadlined "${tight_count} + ${generous_count}")
 foreach(needle
-    "\"schema\":\"thermo.serve_summary.v1\""
+    "\"schema\":\"thermo.serve_summary.v2\""
     "\"policy\":\"fifo\""
     "\"slo\":{\"deadline_requests\":${deadlined},\"met\":${generous_count},\"missed\":${tight_count}}"
-    "\"calibration\":{\"enabled\":true"
     "\"request_timings\":")
   string(FIND "${summary_text}" "${needle}" found)
   if(found EQUAL -1)
@@ -138,7 +130,27 @@ foreach(name "'fifo'" "'ljf'")
   endif()
 endforeach()
 
+# The self-calibrating cost model is gone: --calibrate must be rejected
+# as an unknown flag (exit 2), not silently accepted.
+execute_process(
+  COMMAND "${SERVE_BIN}" serve --in "${requests}"
+          --out "${WORK_DIR}/results_rejected.jsonl" --calibrate on
+  OUTPUT_VARIABLE calibrate_out
+  ERROR_VARIABLE calibrate_err
+  RESULT_VARIABLE calibrate_rc)
+if(NOT calibrate_rc EQUAL 2)
+  message(FATAL_ERROR
+    "--calibrate on must exit 2, got ${calibrate_rc}\n"
+    "${calibrate_out}${calibrate_err}")
+endif()
+string(FIND "${calibrate_err}" "unknown option --calibrate" found)
+if(found EQUAL -1)
+  message(FATAL_ERROR
+    "--calibrate error must be the unknown-flag usage error:\n"
+    "${calibrate_err}")
+endif()
+
 message(STATUS
   "SLO serve smoke OK: 24-request deadlined stream byte-identical across "
-  "threads x policy x calibration; missed exactly the ${tight_count} "
-  "tight deadlines; edf rejected with exit 2")
+  "threads x policy; missed exactly the ${tight_count} tight deadlines; "
+  "edf and --calibrate rejected with exit 2")

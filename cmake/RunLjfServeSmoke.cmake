@@ -4,7 +4,7 @@
 # across {1,4} worker threads x {fifo,ljf} x {dedup on,off} — the
 # dispatch layer's hard invariant: placement and memoization may change
 # when work runs, never what is written. Also checks that
-# --summary-json emits the thermo.serve_summary.v1 record and that
+# --summary-json emits the thermo.serve_summary.v2 record and that
 # every request answers ok:true.
 #
 # Usage: cmake -DSERVE_BIN=<thermosched> -DWORK_DIR=<scratch dir>
@@ -96,7 +96,7 @@ endif()
 
 file(READ "${summary}" summary_text)
 foreach(needle
-    "\"schema\":\"thermo.serve_summary.v1\""
+    "\"schema\":\"thermo.serve_summary.v2\""
     "\"policy\":\"ljf\""
     "\"requests\":9"
     "\"memo\":"

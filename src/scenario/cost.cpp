@@ -111,10 +111,6 @@ dispatch::CostFeatures request_cost_features(const ScenarioRequest& request) {
   features.sparse =
       thermal::resolve_backend(request.solver.backend, features.nodes) ==
       thermal::SolverBackend::kSparse;
-  // Post-ordering fill model for the sparse back-substitution term
-  // (docs/SOLVERS.md "Ordering"); estimate() would apply the same
-  // default, set explicitly here so the feature record is complete.
-  features.solve_nnz = dispatch::predicted_factor_nnz(features.nodes);
   switch (request.kind) {
     case RequestKind::kStclSweep:
       features.transient = request.solver.transient;
@@ -147,8 +143,8 @@ dispatch::CostFeatures request_cost_features(const ScenarioRequest& request) {
       break;
     case RequestKind::kGridSteady:
       // One steady-state solve of the rows·cols grid: a single oracle
-      // call, no transient stepping. The cold factorization is folded
-      // into the per-call term by calibration.
+      // call, no transient stepping. The cold factorization is not
+      // priced separately.
       features.transient = false;
       features.steps_per_call = 0.0;
       features.stcl_points = 1;
@@ -158,9 +154,8 @@ dispatch::CostFeatures request_cost_features(const ScenarioRequest& request) {
   return features;
 }
 
-double estimate_request_cost(const ScenarioRequest& request,
-                             const dispatch::CostModel& model) {
-  return model.estimate(request_cost_features(request));
+double estimate_request_cost(const ScenarioRequest& request) {
+  return dispatch::CostModel().estimate(request_cost_features(request));
 }
 
 }  // namespace thermo::scenario

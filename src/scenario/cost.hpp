@@ -33,9 +33,8 @@ namespace thermo::scenario {
 /// Cost features of one request (see file comment for the estimates).
 dispatch::CostFeatures request_cost_features(const ScenarioRequest& request);
 
-/// model.estimate(request_cost_features(request)) — the score the serve
-/// path feeds the ljf work queue.
-double estimate_request_cost(const ScenarioRequest& request,
-                             const dispatch::CostModel& model = {});
+/// CostModel().estimate(request_cost_features(request)) — the score
+/// serve places ljf jobs by and gen's order patterns sort by.
+double estimate_request_cost(const ScenarioRequest& request);
 
 }  // namespace thermo::scenario

@@ -67,22 +67,6 @@ TEST(CostModel, SteadyIsCheaperThanTransientAndSparseScalesLinearly) {
   EXPECT_GT(model.estimate(dense), model.estimate(steady));
 }
 
-TEST(CostModel, ConstantsAreOverridable) {
-  CostConstants constants;
-  constants.per_request = 7.0;
-  constants.validations_per_core = 1.0;
-  constants.per_call_overhead = 0.0;
-  constants.dense_ops_per_node_sq = 1.0;
-  const CostModel model(constants);
-  CostFeatures f;
-  f.nodes = 10;
-  f.cores = 2;
-  f.transient = false;
-  f.stcl_points = 3;
-  // 7 + 3 points * 2 calls * (1 solve * 100 ops) = 607, exactly.
-  EXPECT_DOUBLE_EQ(model.estimate(f), 607.0);
-}
-
 TEST(SchedulePolicy, NamesRoundTrip) {
   EXPECT_STREQ(schedule_policy_name(SchedulePolicy::kFifo), "fifo");
   EXPECT_STREQ(schedule_policy_name(SchedulePolicy::kLjf), "ljf");

@@ -188,7 +188,7 @@ TEST(ServeDispatch, SummaryJsonSchemaAndCounts) {
   options.policy = dispatch::SchedulePolicy::kLjf;
   const RunOutput run = run_serve(mixed_batch(), options);
   const JsonValue json = serve_summary_to_json(run.summary);
-  EXPECT_EQ(json.find("schema")->as_string(), "thermo.serve_summary.v1");
+  EXPECT_EQ(json.find("schema")->as_string(), "thermo.serve_summary.v2");
   EXPECT_EQ(json.find("requests")->as_number(), 50.0);
   EXPECT_EQ(json.find("ok")->as_number(), 46.0);
   EXPECT_EQ(json.find("failed")->as_number(), 4.0);

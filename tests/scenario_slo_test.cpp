@@ -16,14 +16,13 @@
 //
 // The other half of this file is the hard serve invariant extended to
 // the deadlined stream: output bytes and the deadline scoreboard
-// identical across {1,4} threads × {fifo, ljf} × {calibrator, none}.
+// identical across {1,4} threads × {fifo, ljf}.
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "dispatch/calibrator.hpp"
 #include "dispatch/result_memo.hpp"
 #include "gen/generator.hpp"
 #include "scenario/request.hpp"
@@ -35,7 +34,7 @@ namespace thermo::scenario {
 namespace {
 
 /// The canonical deadlined stream: small sizes (zipf 1.5 keeps whales
-/// away so the 8-config sweep stays fast), duplicates in the mix so
+/// away so the 4-config sweep stays fast), duplicates in the mix so
 /// within-batch inheritance is exercised, half the fresh lines
 /// deadlined.
 gen::GeneratedStream deadlined_stream() {
@@ -128,7 +127,7 @@ TEST(ServeSlo, WarmMemoReServeMeetsEverythingIncludingTightDeadlines) {
   EXPECT_EQ(warm.summary.deadline_met, warm.summary.deadline_requests);
 }
 
-TEST(ServeSlo, ByteIdenticalAcrossThreadsPoliciesAndCalibration) {
+TEST(ServeSlo, ByteIdenticalAcrossThreadsAndPolicies) {
   const std::string input = stream_text(deadlined_stream());
   ScenarioRunner runner;  // shared: the model cache never changes bytes
   ServeOptions reference_options;
@@ -139,30 +138,17 @@ TEST(ServeSlo, ByteIdenticalAcrossThreadsPoliciesAndCalibration) {
   for (const dispatch::SchedulePolicy policy :
        {dispatch::SchedulePolicy::kFifo, dispatch::SchedulePolicy::kLjf}) {
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      for (const bool calibrate : {false, true}) {
-        dispatch::CostCalibrator calibrator;
-        ServeOptions options;
-        options.policy = policy;
-        options.threads = threads;
-        options.calibrator = calibrate ? &calibrator : nullptr;
-        const RunOutput run = run_serve(input, options, runner);
-        EXPECT_EQ(run.records, reference.records)
-            << "policy=" << dispatch::schedule_policy_name(policy)
-            << " threads=" << threads
-            << " calibrate=" << calibrate;
-        EXPECT_EQ(run.summary.deadline_missed,
-                  reference.summary.deadline_missed)
-            << "policy=" << dispatch::schedule_policy_name(policy)
-            << " threads=" << threads
-            << " calibrate=" << calibrate;
-        if (calibrate) {
-          EXPECT_TRUE(run.summary.calibration_enabled);
-          EXPECT_EQ(run.summary.calibration_samples, calibrator.samples());
-          EXPECT_GT(calibrator.samples(), 0u);
-        } else {
-          EXPECT_FALSE(run.summary.calibration_enabled);
-        }
-      }
+      ServeOptions options;
+      options.policy = policy;
+      options.threads = threads;
+      const RunOutput run = run_serve(input, options, runner);
+      EXPECT_EQ(run.records, reference.records)
+          << "policy=" << dispatch::schedule_policy_name(policy)
+          << " threads=" << threads;
+      EXPECT_EQ(run.summary.deadline_missed,
+                reference.summary.deadline_missed)
+          << "policy=" << dispatch::schedule_policy_name(policy)
+          << " threads=" << threads;
     }
   }
 }
@@ -201,18 +187,16 @@ TEST(ServeSlo, SloFieldsParseValidateAndStayOutOfTheMemoKey) {
 TEST(ServeSlo, SummaryJsonCarriesSloAndCalibrationSections) {
   const std::string input = stream_text(deadlined_stream());
   ScenarioRunner runner;
-  dispatch::CostCalibrator calibrator;
   ServeOptions options;
   options.threads = 1;
-  options.calibrator = &calibrator;
   const RunOutput run = run_serve(input, options, runner);
   const std::string json = serve_summary_to_json(run.summary).dump();
-  // Additive v1 schema: the header needle older tooling pins must
-  // survive, and the new sections ride alongside it.
-  EXPECT_NE(json.find("\"schema\":\"thermo.serve_summary.v1\""),
+  // Schema v2 dropped the calibration section with the self-calibrating
+  // cost model; the slo section rides alongside the header needle.
+  EXPECT_NE(json.find("\"schema\":\"thermo.serve_summary.v2\""),
             std::string::npos);
   EXPECT_NE(json.find("\"slo\":{\"deadline_requests\":"), std::string::npos);
-  EXPECT_NE(json.find("\"calibration\":{\"enabled\":true"), std::string::npos);
+  EXPECT_EQ(json.find("\"calibration\""), std::string::npos);
   EXPECT_NE(json.find("\"done_s\":"), std::string::npos);
   EXPECT_NE(json.find("\"deadline_met\":"), std::string::npos);
 }
