@@ -1,5 +1,6 @@
 #include "core/session_model.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/error.hpp"
@@ -67,7 +68,11 @@ double SessionThermalModel::equivalent_resistance(
   THERMO_REQUIRE(active.size() == core_count(),
                  "active mask size must equal the core count");
   THERMO_REQUIRE(core < core_count(), "core index out of range");
+  return resistance(active, core);
+}
 
+double SessionThermalModel::resistance(const std::vector<bool>& active,
+                                       std::size_t core) const {
   double conductance = boundary_conductance_[core];
   for (const LateralPath& path : lateral_[core]) {
     // Modification 2: paths to concurrently active cores are removed;
@@ -81,16 +86,30 @@ double SessionThermalModel::equivalent_resistance(
   return 1.0 / conductance;
 }
 
-double SessionThermalModel::thermal_characteristic(
-    const std::vector<bool>& active, std::size_t core, double power) const {
+namespace {
+
+void require_valid_power(double power) {
   THERMO_REQUIRE(std::isfinite(power) && power >= 0.0,
                  "power must be finite and non-negative");
-  const double rth = equivalent_resistance(active, core);
-  if (std::isinf(rth)) return power > 0.0 ? kInfiniteResistance : 0.0;
+}
+
+/// TC = P * Rth, with an enclosed zero-power core contributing 0.
+double characteristic(double power, double rth) {
+  if (std::isinf(rth)) {
+    return power > 0.0 ? SessionThermalModel::kInfiniteResistance : 0.0;
+  }
   return power * rth;
 }
 
-double SessionThermalModel::session_characteristic(
+}  // namespace
+
+double SessionThermalModel::thermal_characteristic(
+    const std::vector<bool>& active, std::size_t core, double power) const {
+  require_valid_power(power);
+  return characteristic(power, equivalent_resistance(active, core));
+}
+
+void SessionThermalModel::require_session_sizes(
     const std::vector<bool>& active, const std::vector<double>& power,
     const std::vector<double>& weight) const {
   THERMO_REQUIRE(active.size() == core_count(),
@@ -99,15 +118,55 @@ double SessionThermalModel::session_characteristic(
                  "power vector size must equal the core count");
   THERMO_REQUIRE(weight.size() == core_count(),
                  "weight vector size must equal the core count");
+}
+
+double SessionThermalModel::weighted_characteristic(
+    const std::vector<bool>& active, std::size_t core,
+    const std::vector<double>& power, const std::vector<double>& weight) const {
+  require_valid_power(power[core]);
+  const double tc = characteristic(power[core], resistance(active, core));
+  if (std::isinf(tc)) return kInfiniteResistance;
+  return tc * power[core] * weight[core];
+}
+
+double SessionThermalModel::session_characteristic(
+    const std::vector<bool>& active, const std::vector<double>& power,
+    const std::vector<double>& weight) const {
+  require_session_sizes(active, power, weight);
 
   double stc = 0.0;
   for (std::size_t i = 0; i < core_count(); ++i) {
     if (!active[i]) continue;
-    const double tc = thermal_characteristic(active, i, power[i]);
-    if (std::isinf(tc)) return kInfiniteResistance;
-    stc = std::max(stc, tc * power[i] * weight[i]);
+    const double value = weighted_characteristic(active, i, power, weight);
+    if (std::isinf(value)) return kInfiniteResistance;
+    stc = std::max(stc, value);
   }
   return stc * options_.stc_scale;
+}
+
+double SessionThermalModel::session_characteristic_with(
+    const std::vector<bool>& active, std::size_t added, double stc,
+    const std::vector<double>& power, const std::vector<double>& weight) const {
+  require_session_sizes(active, power, weight);
+  THERMO_REQUIRE(added < core_count() && active[added],
+                 "the added core must be in the active mask");
+  THERMO_REQUIRE(stc >= 0.0, "session STC must be non-negative");
+
+  // session_characteristic's accumulation, over the cores whose value
+  // can change. Each of them only grows (a conductance sum loses terms
+  // and rounding is monotone), so max(stc, ...) is the full maximum;
+  // scaling by stc_scale > 0 commutes with max under rounding.
+  double grown = 0.0;
+  const auto include = [&](std::size_t core) {
+    const double value = weighted_characteristic(active, core, power, weight);
+    grown = std::max(grown, value);
+    return !std::isinf(value);
+  };
+  if (!include(added)) return kInfiniteResistance;
+  for (const LateralPath& path : lateral_[added]) {
+    if (active[path.other] && !include(path.other)) return kInfiniteResistance;
+  }
+  return std::max(stc, grown * options_.stc_scale);
 }
 
 double SessionThermalModel::lateral_resistance(std::size_t i,

@@ -78,6 +78,19 @@ class SessionThermalModel {
                                 const std::vector<double>& power,
                                 const std::vector<double>& weight) const;
 
+  /// session_characteristic(active, power, weight), given `stc` = the
+  /// STC of the same mask without `added` (which must be active).
+  /// Adding a core only removes the lateral paths between it and its
+  /// active neighbours, so only their Rth change, and only upwards;
+  /// every other member keeps its value. The result is therefore
+  /// max(stc, the values of `added` and its active neighbours), each
+  /// computed as session_characteristic computes it — bit-identical to
+  /// the full re-evaluation, in O(degree) instead of O(|TS| · degree).
+  double session_characteristic_with(const std::vector<bool>& active,
+                                     std::size_t added, double stc,
+                                     const std::vector<double>& power,
+                                     const std::vector<double>& weight) const;
+
   /// Lateral resistance between adjacent cores i and j [K/W]
   /// (+infinity when not adjacent). Mirrors the RC simulator's formula.
   double lateral_resistance(std::size_t i, std::size_t j) const;
@@ -93,6 +106,20 @@ class SessionThermalModel {
       std::numeric_limits<double>::infinity();
 
  private:
+  /// Throws unless the mask and both vectors have one entry per core.
+  void require_session_sizes(const std::vector<bool>& active,
+                             const std::vector<double>& power,
+                             const std::vector<double>& weight) const;
+
+  /// equivalent_resistance without argument checks.
+  double resistance(const std::vector<bool>& active, std::size_t core) const;
+
+  /// TC * P * W of `core`, unscaled (+infinity when TC is).
+  double weighted_characteristic(const std::vector<bool>& active,
+                                 std::size_t core,
+                                 const std::vector<double>& power,
+                                 const std::vector<double>& weight) const;
+
   struct LateralPath {
     std::size_t other;       ///< neighbouring core index
     double conductance;      ///< 1/R of the shared-edge silicon slab [W/K]

@@ -72,14 +72,14 @@ ScheduleResult ThermalAwareScheduler::generate(
   effective_tl_ = options_.temperature_limit;
 
   // ---- Pre-pass: per-core solo simulation (paper lines 1-7) ----
+  // Only core i's own peak is read, which the analyzer answers from the
+  // model's cached self-response of core i (one entry of G⁻¹ or of a
+  // unit step response) instead of simulating the whole die.
   result.bcmt.assign(n, 0.0);
   std::vector<bool> excluded(n, false);
   for (std::size_t i = 0; i < n; ++i) {
-    TestSession solo;
-    solo.cores.push_back(i);
-    const thermal::SessionSimulation sim =
-        analyzer.simulate_session(solo.power_map(soc), solo.length(soc));
-    result.bcmt[i] = sim.peak_temperature[i];
+    result.bcmt[i] =
+        analyzer.solo_peak(i, soc.tests[i].power, soc.tests[i].length);
   }
   result.precheck_effort = analyzer.simulation_effort();
   analyzer.reset_effort();
@@ -120,15 +120,19 @@ ScheduleResult ThermalAwareScheduler::generate(
 
   std::size_t attempts = 0;
   while (remaining() > 0) {
-    // Session construction (lines 9-15).
+    // Session construction (lines 9-15). STC is updated incrementally:
+    // a candidate changes only its own value and its active neighbours'.
     TestSession session;
     std::vector<bool> active(n, false);
+    double stc = 0.0;
     for (std::size_t candidate : order) {
       if (scheduled[candidate]) continue;
       active[candidate] = true;
-      const double stc = model.session_characteristic(active, power, weight);
-      if (stc <= options_.stc_limit) {
+      const double with = model.session_characteristic_with(
+          active, candidate, stc, power, weight);
+      if (with <= options_.stc_limit) {
         session.cores.push_back(candidate);
+        stc = with;
       } else {
         active[candidate] = false;
       }

@@ -35,7 +35,10 @@ namespace thermo::dispatch {
 /// Revision 2: transient session validation superposes unit responses
 /// (thermal/unit_response.hpp), which moves the trailing digits of
 /// temperatures; a revision-1 directory would serve the old digits.
-inline constexpr std::uint32_t kResultSchemaRevision = 2;
+/// Revision 3: the steady oracle's solo pre-pass reads T_amb + P·Z_ii
+/// from a cached diagonal of G⁻¹ instead of solving for P, which moves
+/// the trailing digits of a raised `effective_tl`.
+inline constexpr std::uint32_t kResultSchemaRevision = 3;
 
 class DiskResultMemo final : public ResultMemo {
  public:

@@ -51,9 +51,12 @@ void Floorplan::compute_cache() const {
   adjacencies_.clear();
   adj_.assign(n, {});
   boundary_.assign(n, {0.0, 0.0, 0.0, 0.0});
+  report_ = ValidationReport{};
 
   if (n == 0) {
     min_x_ = min_y_ = max_x_ = max_y_ = 0.0;
+    report_.ok = false;
+    report_.errors.push_back("floorplan has no blocks");
     cache_valid_ = true;
     return;
   }
@@ -69,10 +72,17 @@ void Floorplan::compute_cache() const {
     max_y_ = std::max(max_y_, b.top());
   }
 
+  // One pass over the pairs finds both the adjacencies and the overlaps
+  // validate() reports.
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i + 1; j < n; ++j) {
       const Block& a = blocks_[i];
       const Block& b = blocks_[j];
+      if (a.overlaps(b, kGeomTol)) {
+        std::ostringstream os;
+        os << "blocks '" << a.name << "' and '" << b.name << "' overlap";
+        report_.errors.push_back(os.str());
+      }
       double length = 0.0;
       Side side = Side::kNorth;
       // Vertical abutment: a's top touches b's bottom or vice versa.
@@ -108,6 +118,28 @@ void Floorplan::compute_cache() const {
     if (std::fabs(b.right() - max_x_) < kGeomTol) exposure[2] = b.height;
     if (std::fabs(b.left() - min_x_) < kGeomTol) exposure[3] = b.height;
   }
+
+  double block_area = 0.0;
+  for (const Block& b : blocks_) block_area += b.area();
+  const double bbox_area = (max_x_ - min_x_) * (max_y_ - min_y_);
+  report_.coverage = bbox_area > 0.0 ? block_area / bbox_area : 0.0;
+  if (report_.coverage < 0.95) {
+    std::ostringstream os;
+    os << "blocks cover only " << report_.coverage * 100.0
+       << "% of the chip bounding box";
+    report_.warnings.push_back(os.str());
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto& exposure = boundary_[i];
+    const double exposed =
+        exposure[0] + exposure[1] + exposure[2] + exposure[3];
+    if (adj_[i].empty() && exposed <= kGeomTol) {
+      report_.warnings.push_back("block '" + blocks_[i].name +
+                                 "' is thermally detached (no neighbours, "
+                                 "no boundary exposure)");
+    }
+  }
+  report_.ok = report_.errors.empty();
 
   cache_valid_ = true;
 }
@@ -189,52 +221,15 @@ double Floorplan::boundary_exposure(std::size_t i) const {
 }
 
 ValidationReport Floorplan::validate() const {
-  ValidationReport report;
-  const std::size_t n = blocks_.size();
-  if (n == 0) {
-    report.ok = false;
-    report.errors.push_back("floorplan has no blocks");
-    return report;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      if (blocks_[i].overlaps(blocks_[j], kGeomTol)) {
-        std::ostringstream os;
-        os << "blocks '" << blocks_[i].name << "' and '" << blocks_[j].name
-           << "' overlap";
-        report.errors.push_back(os.str());
-      }
-    }
-  }
-
   compute_cache();
-  double block_area = 0.0;
-  for (const Block& b : blocks_) block_area += b.area();
-  const double bbox_area = chip_area();
-  report.coverage = bbox_area > 0.0 ? block_area / bbox_area : 0.0;
-  if (report.coverage < 0.95) {
-    std::ostringstream os;
-    os << "blocks cover only " << report.coverage * 100.0
-       << "% of the chip bounding box";
-    report.warnings.push_back(os.str());
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (neighbours(i).empty() && boundary_exposure(i) <= kGeomTol) {
-      report.warnings.push_back("block '" + blocks_[i].name +
-                                "' is thermally detached (no neighbours, no "
-                                "boundary exposure)");
-    }
-  }
-
-  report.ok = report.errors.empty();
-  return report;
+  return report_;
 }
 
 void Floorplan::require_valid() const {
-  const ValidationReport report = validate();
-  if (!report.ok) {
+  compute_cache();
+  if (!report_.ok) {
     std::string message = "invalid floorplan '" + name_ + "':";
-    for (const auto& e : report.errors) message += "\n  - " + e;
+    for (const auto& e : report_.errors) message += "\n  - " + e;
     throw InvalidArgument(message);
   }
 }

@@ -90,7 +90,10 @@ class Floorplan {
 
   /// Checks geometric consistency: positive dimensions, no pairwise
   /// overlap; warns about poor area coverage (< 95 % of bbox) and blocks
-  /// with no neighbours and no boundary exposure.
+  /// with no neighbours and no boundary exposure. The report is part of
+  /// the derived-geometry cache: computed in the same pass as the
+  /// adjacencies, so repeated calls on an unchanged floorplan (and its
+  /// copies) cost a copy of the report.
   ValidationReport validate() const;
 
   /// Throws InvalidArgument when validate() reports errors.
@@ -112,6 +115,7 @@ class Floorplan {
   mutable std::vector<std::vector<std::pair<std::size_t, double>>> adj_;
   mutable double min_x_ = 0.0, min_y_ = 0.0, max_x_ = 0.0, max_y_ = 0.0;
   mutable std::vector<std::array<double, 4>> boundary_;  // N,S,E,W per block
+  mutable ValidationReport report_;
 };
 
 /// Geometric tolerance (metres) used for abutment tests: edges closer

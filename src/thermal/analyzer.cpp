@@ -61,6 +61,33 @@ SessionSimulation ThermalAnalyzer::simulate_session(
   return out;
 }
 
+double ThermalAnalyzer::solo_peak(std::size_t block, double power,
+                                  double duration) {
+  THERMO_REQUIRE(std::isfinite(duration) && duration > 0.0,
+                 "session duration must be positive and finite");
+  THERMO_REQUIRE(block < model_->block_count(), "block index out of range");
+  THERMO_REQUIRE(std::isfinite(power) && power >= 0.0,
+                 "block power must be finite and non-negative");
+
+  const double ambient = model_->package().ambient;
+  double peak = ambient;
+  if (power > 0.0) {
+    const SolverBackend backend =
+        resolve_backend(options_.backend, model_->node_count());
+    UnitResponses& responses = model_->unit_responses();
+    const double self =
+        options_.transient
+            ? responses.transient_self_response(*model_, backend, options_.dt,
+                                                duration, block)
+            : responses.steady_self_response(*model_, backend, block);
+    peak = ambient + power * self;
+  }
+
+  simulation_effort_ += duration;
+  ++simulation_count_;
+  return peak;
+}
+
 std::vector<double> ThermalAnalyzer::steady_block_temperatures(
     const std::vector<double>& block_power) const {
   SteadyStateOptions sopt;

@@ -70,6 +70,16 @@ class ThermalAnalyzer {
   SessionSimulation simulate_session(const std::vector<double>& block_power,
                                      double duration);
 
+  /// simulate_session's peak_temperature[block] for the session in which
+  /// `block` alone dissipates `power` watts for `duration` seconds —
+  /// Algorithm 1's solo pre-pass — read as T_amb + power · Z_{block,block}
+  /// from the model's cached self-responses (unit_response.hpp) instead
+  /// of simulating. Transient mode: bit-identical to simulate_session.
+  /// Steady mode: equal to the direct solve to rounding. A zero-power
+  /// block reads ambient and builds nothing. Charges effort and count
+  /// like simulate_session, with the same input checks.
+  double solo_peak(std::size_t block, double power, double duration);
+
   /// Steady-state block temperatures for a power map (no effort charge;
   /// used for reporting and the motivational example).
   std::vector<double> steady_block_temperatures(

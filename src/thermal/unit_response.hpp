@@ -23,12 +23,22 @@
 // evicted: the store belongs to its RCModel (copies share it, as they
 // share its factor store), so the owner of the model bounds it.
 //
-// Concurrency: lookups take one mutex; a missing column is simulated
-// OUTSIDE it and the first insert wins. A column's contents depend only
+// Algorithm 1's solo pre-pass needs only block i's own peak,
+// T_amb + P_i · Z_ii. In transient mode that is entry i of the column
+// above. The steady oracle keeps Z_ii too: the diagonal of the block
+// rows of G⁻¹, n_blocks doubles per resolved backend, filled from
+// n_blocks unit solves through the model's steady factor the first time
+// a solo peak needs it. Full steady columns are deliberately not kept
+// (docs/SOLVERS.md, "Superposition"): a steady validation costs one
+// back-substitution, less than summing |TS| columns on large models.
+//
+// Concurrency: lookups take one mutex; a missing column or diagonal is
+// built OUTSIDE it and the first insert wins. Its contents depend only
 // on its key, never on which request built it, so results are
 // bit-identical at every thread count.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -55,17 +65,40 @@ class UnitResponses {
                            double dt, double duration,
                            const std::vector<double>& block_power);
 
+  /// Z_{block,block}(backend, dt, duration): entry `block` of the
+  /// transient column rise() superposes, built if missing. Same
+  /// preconditions as rise().
+  double transient_self_response(const RCModel& model, SolverBackend backend,
+                                 double dt, double duration,
+                                 std::size_t block);
+
+  /// Z_{block,block} of the steady oracle: entry (block, block) of G⁻¹
+  /// under the resolved `backend`, from the diagonal built on first use.
+  double steady_self_response(const RCModel& model, SolverBackend backend,
+                              std::size_t block);
+
   /// Columns built so far (all keys together).
   std::size_t column_count() const;
+
+  /// Steady diagonals inserted so far (at most one per resolved backend).
+  std::size_t diagonal_count() const;
 
  private:
   /// (backend, dt bits, duration bits): one column slot per block.
   using SetKey = std::tuple<int, std::uint64_t, std::uint64_t>;
   using Column = std::unique_ptr<const std::vector<double>>;
 
+  /// The columns for `blocks` under one key, building the missing ones.
+  std::vector<const std::vector<double>*> columns(
+      const RCModel& model, SolverBackend backend, double dt, double duration,
+      const std::vector<std::size_t>& blocks);
+
   mutable std::mutex mutex_;
   std::map<SetKey, std::vector<Column>> sets_;
   std::size_t columns_ = 0;
+  /// Steady diagonals, indexed by resolved backend.
+  std::array<Column, 2> diagonals_;
+  std::size_t diagonal_count_ = 0;
 };
 
 }  // namespace thermo::thermal

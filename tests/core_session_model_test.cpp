@@ -6,9 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <numeric>
 
+#include "floorplan/generator.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace thermo::core {
 namespace {
@@ -208,6 +211,116 @@ TEST_F(SessionModelTest, ValidatesArguments) {
   SessionModelOptions bad;
   bad.stc_scale = 0.0;
   EXPECT_THROW(SessionThermalModel(fp_, pkg_, bad), InvalidArgument);
+}
+
+// --- incremental STC (session_characteristic_with) ---
+
+TEST(IncrementalStc, BitEqualToTheFullReevaluation) {
+  // Random starting sessions grown in random orders, under random powers
+  // (some zero) and weights, on layouts with interior cores that become
+  // enclosed (+infinity), with and without the vertical path and under
+  // several stc_scale values: every step must equal
+  // session_characteristic of the grown mask bit for bit.
+  Rng layout_rng(41);
+  floorplan::SlicingOptions slicing;
+  slicing.block_count = 40;
+  const std::vector<floorplan::Floorplan> layouts{
+      nine_floorplan(), floorplan::make_grid_floorplan(6, 7, 0.012, 0.014),
+      floorplan::make_slicing_floorplan(layout_rng, slicing)};
+  const thermal::PackageParams package;
+  Rng rng(7);
+  std::size_t steps = 0;
+  std::size_t infinite = 0;
+  for (const floorplan::Floorplan& fp : layouts) {
+    const std::size_t n = fp.size();
+    for (const bool vertical : {false, true}) {
+      for (const double scale : {1.0, 0.37, 3.1}) {
+        SessionModelOptions options;
+        options.include_vertical_path = vertical;
+        options.stc_scale = scale;
+        const SessionThermalModel model(fp, package, options);
+        for (int trial = 0; trial < 20; ++trial) {
+          std::vector<double> power(n, 0.0);
+          std::vector<double> weight(n, 1.0);
+          for (std::size_t i = 0; i < n; ++i) {
+            if (!rng.chance(0.15)) power[i] = rng.uniform(0.1, 30.0);
+            if (rng.chance(0.4)) weight[i] = rng.uniform(1.0, 8.0);
+          }
+          std::vector<bool> active(n, false);
+          for (std::size_t i = 0; i < n; ++i) active[i] = rng.chance(0.2);
+          double stc = model.session_characteristic(active, power, weight);
+          std::vector<std::size_t> order(n);
+          std::iota(order.begin(), order.end(), std::size_t{0});
+          rng.shuffle(order);
+          for (const std::size_t candidate : order) {
+            if (active[candidate]) continue;
+            active[candidate] = true;
+            const double with = model.session_characteristic_with(
+                active, candidate, stc, power, weight);
+            const double full = model.session_characteristic(active, power, weight);
+            EXPECT_EQ(with, full) << fp.name() << " vertical " << vertical
+                                  << " scale " << scale << " trial " << trial
+                                  << " adding " << candidate;
+            ++steps;
+            if (std::isinf(full)) ++infinite;
+            // Keep most candidates (growing enclosures), drop the rest.
+            if (rng.chance(0.7)) {
+              stc = full;
+            } else {
+              active[candidate] = false;
+            }
+          }
+        }
+      }
+    }
+  }
+  // The sweep reached both regimes.
+  EXPECT_GT(infinite, 0u);
+  EXPECT_GT(steps - infinite, steps / 4);
+}
+
+TEST_F(SessionModelTest, IncrementalStcSeesANeighbourBecomeEnclosed) {
+  // b1_1 is active; adding its last passive neighbour leaves it no path
+  // to ground, so the grown session is infinite although the added
+  // edge core alone is cool.
+  const std::vector<double> power(fp_.size(), 1.0);
+  const std::vector<double> weight(fp_.size(), 1.0);
+  const double stc = model_.session_characteristic(
+      only({"b1_1", "b0_1", "b1_0", "b1_2"}), power, weight);
+  ASSERT_TRUE(std::isfinite(stc));
+  EXPECT_TRUE(std::isinf(model_.session_characteristic_with(
+      only({"b1_1", "b0_1", "b1_0", "b1_2", "b2_1"}), idx(fp_, "b2_1"), stc,
+      power, weight)));
+}
+
+TEST_F(SessionModelTest, IncrementalStcValidatesArguments) {
+  const auto mask = only({"b0_0"});
+  const std::vector<double> power(fp_.size(), 1.0);
+  const std::vector<double> weight(fp_.size(), 1.0);
+  const std::vector<double> short_vector(3, 1.0);
+  EXPECT_NO_THROW(model_.session_characteristic_with(mask, 0, 0.0, power, weight));
+  EXPECT_THROW(model_.session_characteristic_with(std::vector<bool>(3, true),
+                                                  0, 0.0, power, weight),
+               InvalidArgument);
+  EXPECT_THROW(
+      model_.session_characteristic_with(mask, 0, 0.0, short_vector, weight),
+      InvalidArgument);
+  EXPECT_THROW(
+      model_.session_characteristic_with(mask, 0, 0.0, power, short_vector),
+      InvalidArgument);
+  EXPECT_THROW(model_.session_characteristic_with(mask, 99, 0.0, power, weight),
+               InvalidArgument);
+  // The added core must be in the mask.
+  EXPECT_THROW(model_.session_characteristic_with(mask, idx(fp_, "b0_1"), 0.0,
+                                                  power, weight),
+               InvalidArgument);
+  EXPECT_THROW(model_.session_characteristic_with(mask, 0, -1.0, power, weight),
+               InvalidArgument);
+  std::vector<double> negative = power;
+  negative[0] = -1.0;
+  EXPECT_THROW(
+      model_.session_characteristic_with(mask, 0, 0.0, negative, weight),
+      InvalidArgument);
 }
 
 }  // namespace

@@ -166,6 +166,41 @@ TEST(Floorplan, CacheInvalidatedByAddBlock) {
   EXPECT_TRUE(fp.are_adjacent(0, 1));
 }
 
+TEST(Floorplan, ValidationReportFollowsAddBlock) {
+  // The report is cached with the geometry: a block added after a clean
+  // validation must show up in the next report, detached-block warnings
+  // included, and a copy carries the report of its original.
+  Floorplan fp("grow");
+  fp.add_block({"a", 2e-3, 2e-3, 0.0, 0.0});
+  fp.add_block({"b", 2e-3, 2e-3, 2e-3, 0.0});
+  EXPECT_TRUE(fp.validate().ok);
+  EXPECT_TRUE(fp.validate().warnings.empty());
+  fp.add_block({"c", 2e-3, 2e-3, 1e-3, 1e-3});
+  const ValidationReport overlapping = fp.validate();
+  EXPECT_FALSE(overlapping.ok);
+  ASSERT_EQ(overlapping.errors.size(), 2u);  // c overlaps a and b
+  EXPECT_THROW(fp.require_valid(), InvalidArgument);
+  const Floorplan copy = fp;
+  EXPECT_EQ(copy.validate().errors, overlapping.errors);
+
+  Floorplan ring("ring");
+  for (int r = 0; r < 3; ++r) {
+    for (int c = 0; c < 3; ++c) {
+      if (r == 1 && c == 1) continue;
+      ring.add_block({"r" + std::to_string(r) + std::to_string(c), 1e-3, 1e-3,
+                      c * 1e-3, r * 1e-3});
+    }
+  }
+  EXPECT_EQ(ring.validate().warnings.size(), 1u);  // 8/9 coverage
+  // A small block floating in the hole touches nothing.
+  ring.add_block({"hole", 0.5e-3, 0.5e-3, 1.25e-3, 1.25e-3});
+  const ValidationReport holed = ring.validate();
+  EXPECT_TRUE(holed.ok);
+  ASSERT_EQ(holed.warnings.size(), 2u);  // coverage, then the detached block
+  EXPECT_NE(holed.warnings[1].find("'hole' is thermally detached"),
+            std::string::npos);
+}
+
 TEST(Floorplan, OutOfRangeIndicesThrow) {
   const Floorplan fp = quad_floorplan();
   EXPECT_THROW(fp.block(4), InvalidArgument);

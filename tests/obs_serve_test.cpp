@@ -112,7 +112,9 @@ TEST(ObsServe, QueueWaitRidesTheSummaryJson) {
   for (const RequestTiming& timing : summary.request_timings) {
     EXPECT_GE(timing.queue_wait_seconds, 0.0);
     // Memo hits never waited in the execution queue.
-    if (timing.memo_hit) EXPECT_EQ(timing.queue_wait_seconds, 0.0);
+    if (timing.memo_hit) {
+      EXPECT_EQ(timing.queue_wait_seconds, 0.0);
+    }
   }
 
   const JsonValue json = serve_summary_to_json(summary);

@@ -206,7 +206,9 @@ void expect_balanced_and_monotonic(const JsonValue& events) {
     const double ts = event.find("ts")->as_number();
     const std::string phase = event.find("ph")->as_string();
     const std::string name = event.find("name")->as_string();
-    if (last_ts.count(tid) != 0) EXPECT_GE(ts, last_ts[tid]);
+    if (last_ts.count(tid) != 0) {
+      EXPECT_GE(ts, last_ts[tid]);
+    }
     last_ts[tid] = ts;
     if (phase == "B") {
       open[tid].push_back(name);

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <latch>
 #include <limits>
 #include <memory>
 #include <string>
@@ -322,6 +323,159 @@ TEST(Superposition, RacingThreadsGetBitIdenticalResults) {
   }
   EXPECT_EQ(shared->unit_responses().column_count(),
             serial_model->unit_responses().column_count());
+}
+
+// --- solo peaks from cached self-responses (ThermalAnalyzer::solo_peak) ---
+
+ThermalAnalyzer::Options oracle(bool transient, SolverBackend backend) {
+  ThermalAnalyzer::Options options;
+  options.transient = transient;
+  options.backend = backend;
+  return options;
+}
+
+std::vector<double> solo_power(const core::SocSpec& soc, std::size_t core) {
+  std::vector<double> power(soc.core_count(), 0.0);
+  power[core] = soc.tests[core].power;
+  return power;
+}
+
+TEST(SoloPeak, TransientIsBitEqualToTheSimulatedSolo) {
+  // Each core alone, as Algorithm 1's pre-pass runs it, over uniform and
+  // mixed test lengths. The simulated side runs on its own cold model,
+  // so it builds its columns independently.
+  for (const bool ragged : {false, true}) {
+    for (const core::SocSpec& soc : corpus(ragged)) {
+      for (const SolverBackend backend :
+           {SolverBackend::kDense, SolverBackend::kSparse}) {
+        ThermalAnalyzer solo(std::make_shared<const RCModel>(soc.flp, soc.package),
+                             oracle(true, backend));
+        ThermalAnalyzer simulated(
+            std::make_shared<const RCModel>(soc.flp, soc.package),
+            oracle(true, backend));
+        for (std::size_t i = 0; i < soc.core_count(); ++i) {
+          const double length = soc.tests[i].length;
+          const SessionSimulation sim =
+              simulated.simulate_session(solo_power(soc, i), length);
+          EXPECT_EQ(solo.solo_peak(i, soc.tests[i].power, length),
+                    sim.peak_temperature[i])
+              << soc.name << " " << solver_backend_name(backend) << " core " << i;
+        }
+        // Charged exactly as the simulations were.
+        EXPECT_EQ(solo.simulation_count(), simulated.simulation_count());
+        EXPECT_EQ(solo.simulation_effort(), simulated.simulation_effort());
+      }
+    }
+  }
+}
+
+TEST(SoloPeak, SteadyMatchesADirectSolve) {
+  for (const core::SocSpec& soc : corpus(false)) {
+    const auto model = std::make_shared<const RCModel>(soc.flp, soc.package);
+    for (const SolverBackend backend :
+         {SolverBackend::kDense, SolverBackend::kSparse}) {
+      ThermalAnalyzer analyzer(model, oracle(false, backend));
+      SteadyStateOptions direct;
+      direct.backend = backend;
+      for (std::size_t i = 0; i < soc.core_count(); ++i) {
+        const double expected =
+            solve_steady_state(*model, solo_power(soc, i), direct).temperature[i];
+        const double got = analyzer.solo_peak(i, soc.tests[i].power, 0.5);
+        EXPECT_TRUE(close(got, expected, 1e-12))
+            << soc.name << " " << solver_backend_name(backend) << " core " << i
+            << ": " << got << " vs " << expected;
+      }
+      EXPECT_EQ(analyzer.simulation_count(), soc.core_count());
+    }
+    // One diagonal per backend, shared by copies of the model; steady
+    // solo peaks build no transient columns.
+    EXPECT_EQ(model->unit_responses().diagonal_count(), 2u);
+    EXPECT_EQ(model->unit_responses().column_count(), 0u);
+    const RCModel copy(*model);
+    EXPECT_EQ(&copy.unit_responses(), &model->unit_responses());
+  }
+}
+
+TEST(SoloPeak, ZeroPowerReadsAmbientAndBuildsNothing) {
+  const auto model =
+      std::make_shared<const RCModel>(nine_floorplan(), PackageParams{});
+  for (const bool transient : {true, false}) {
+    for (const SolverBackend backend :
+         {SolverBackend::kDense, SolverBackend::kSparse}) {
+      ThermalAnalyzer analyzer(model, oracle(transient, backend));
+      for (std::size_t i = 0; i < model->block_count(); ++i) {
+        EXPECT_EQ(analyzer.solo_peak(i, 0.0, 0.05), model->package().ambient);
+      }
+      EXPECT_EQ(analyzer.simulation_count(), model->block_count());
+    }
+  }
+  EXPECT_EQ(model->unit_responses().column_count(), 0u);
+  EXPECT_EQ(model->unit_responses().diagonal_count(), 0u);
+}
+
+TEST(SoloPeak, RejectsUnusableDurationsPowersAndBlocks) {
+  const auto model =
+      std::make_shared<const RCModel>(quad_floorplan(), PackageParams{});
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const bool transient : {true, false}) {
+    ThermalAnalyzer analyzer(model, oracle(transient, SolverBackend::kAuto));
+    for (const double duration : {nan, inf, -inf, -1.0, 0.0}) {
+      EXPECT_THROW(analyzer.solo_peak(0, 1.0, duration), InvalidArgument)
+          << "duration " << duration;
+    }
+    for (const double power : {nan, inf, -inf, -1.0}) {
+      EXPECT_THROW(analyzer.solo_peak(0, power, 0.05), InvalidArgument)
+          << "power " << power;
+    }
+    EXPECT_THROW(analyzer.solo_peak(4, 1.0, 0.05), InvalidArgument);
+    EXPECT_EQ(analyzer.simulation_count(), 0u);
+    EXPECT_EQ(analyzer.simulation_effort(), 0.0);
+  }
+  EXPECT_EQ(model->unit_responses().column_count(), 0u);
+  EXPECT_EQ(model->unit_responses().diagonal_count(), 0u);
+}
+
+TEST(SoloPeak, RacingThreadsOnAColdModelGetOneDiagonal) {
+  // Four steady analyzers on one cold model ask for every core's solo
+  // peak, each in its own order, so they race to build the diagonal.
+  // The first insert wins: one diagonal, and every answer equals a
+  // serial run on a separate cold model bit for bit.
+  Rng rng(3);
+  soc::SyntheticOptions synthetic;
+  synthetic.core_count = 300;
+  const core::SocSpec soc = soc::make_synthetic_soc(rng, synthetic);
+  const std::size_t n = soc.core_count();
+  const auto options = oracle(false, SolverBackend::kSparse);
+
+  ThermalAnalyzer serial(std::make_shared<const RCModel>(soc.flp, soc.package),
+                         options);
+  std::vector<double> expected(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    expected[i] = serial.solo_peak(i, soc.tests[i].power, 1.0);
+  }
+
+  const auto shared = std::make_shared<const RCModel>(soc.flp, soc.package);
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::vector<double>> got(kThreads, std::vector<double>(n));
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ThermalAnalyzer analyzer(shared, options);
+      start.arrive_and_wait();
+      for (std::size_t j = 0; j < n; ++j) {
+        const std::size_t i = (j + 7 * t) % n;
+        got[t][i] = analyzer.solo_peak(i, soc.tests[i].power, 1.0);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(got[t], expected) << "thread " << t;
+  }
+  EXPECT_EQ(shared->unit_responses().diagonal_count(), 1u);
 }
 
 }  // namespace
