@@ -4,7 +4,7 @@
 # kinds, and serving it must produce byte-identical results across
 # {1,4} worker threads x {fifo,ljf} x {dedup on,off} with every record
 # ok:true — the end-to-end version of what tests/gen_test.cpp and
-# bench_gen pin at the library level.
+# tests/scenario_slo_test.cpp (ServeGen.*) pin at the library level.
 #
 # Usage: cmake -DSCHED_BIN=<thermosched> -DWORK_DIR=<scratch dir>
 #              -P RunGenServeSmoke.cmake

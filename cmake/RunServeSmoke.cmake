@@ -1,7 +1,8 @@
 # Serve determinism smoke: generate a demo JSONL batch, run
 # `thermosched serve` over it once with 1 thread and once with several,
 # and require (a) every step exits 0, (b) the two results files are
-# byte-identical, (c) one result line per request.
+# byte-identical, (c) one result line per request, (d) every record is
+# ok:true (the demo batch holds only valid requests).
 #
 # Usage: cmake -DGEN_BIN=<make_requests> -DSERVE_BIN=<thermosched>
 #              -DWORK_DIR=<scratch dir> [-DREQUEST_COUNT=120] -P RunServeSmoke.cmake
@@ -56,5 +57,12 @@ if(NOT line_count EQUAL REQUEST_COUNT)
   message(FATAL_ERROR
     "expected ${REQUEST_COUNT} result records, got ${line_count}")
 endif()
+string(REGEX MATCHALL "\"ok\":true" oks "${results_1}")
+list(LENGTH oks ok_count)
+if(NOT ok_count EQUAL REQUEST_COUNT)
+  message(FATAL_ERROR
+    "expected ${REQUEST_COUNT} ok:true records, got ${ok_count} (${out1})")
+endif()
 message(STATUS
-  "serve smoke OK: ${REQUEST_COUNT} requests, 1-vs-4-thread results identical")
+  "serve smoke OK: ${REQUEST_COUNT} requests all ok, 1-vs-4-thread results "
+  "identical")

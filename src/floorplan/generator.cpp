@@ -18,7 +18,12 @@ Floorplan make_grid_floorplan(std::size_t rows, std::size_t cols,
   for (std::size_t r = 0; r < rows; ++r) {
     for (std::size_t c = 0; c < cols; ++c) {
       Block block;
-      block.name = "b" + std::to_string(r) + "_" + std::to_string(c);
+      // Appended piecewise: "b" + std::to_string(r) trips GCC 12's
+      // -Wrestrict false positive in libstdc++'s operator+.
+      block.name = "b";
+      block.name += std::to_string(r);
+      block.name += '_';
+      block.name += std::to_string(c);
       block.width = bw;
       block.height = bh;
       block.x = static_cast<double>(c) * bw;
@@ -93,7 +98,8 @@ Floorplan make_slicing_floorplan(Rng& rng, const SlicingOptions& options) {
   Floorplan fp("slicing" + std::to_string(options.block_count));
   for (std::size_t i = 0; i < regions.size(); ++i) {
     Block block;
-    block.name = "c" + std::to_string(i);
+    block.name = "c";
+    block.name += std::to_string(i);
     block.x = regions[i].x;
     block.y = regions[i].y;
     block.width = regions[i].w;

@@ -83,7 +83,7 @@ struct GenConfig {
   /// Probability that a line is a byte-identical copy of an earlier line
   /// instead of a fresh request, in [0, 1). Fresh requests carry unique
   /// ids, so with --dedup the serve memo hit count equals the duplicate
-  /// count exactly (the bench_gen gate).
+  /// count exactly (ServeGen.DedupMemoHitsEqualGeneratedDuplicates).
   double dup_rate = 0.0;
 
   /// Probability that a fresh request carries a deadline_s, in [0, 1]:

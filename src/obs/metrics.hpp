@@ -45,7 +45,8 @@ namespace thermo::obs {
 
 /// Master recording switch, default ON. A relaxed load of one atomic —
 /// the whole cost of disabled observability. Toggling does not reset
-/// anything; bench_obs flips it to measure instrumentation overhead.
+/// anything; ObsServe.MetricsDisabledChangesNothingButTheCounts pins
+/// that a disabled registry records nothing and changes no output byte.
 bool enabled();
 void set_enabled(bool on);
 

@@ -1,8 +1,8 @@
 // Deterministic demo batches for `thermosched serve`: a reproducible mix
 // of scenario requests over every SoC kind, used by
-// examples/make_requests (writes them as JSONL), bench/bench_serve (the
-// BENCH_serve.json throughput record), and the serve smoke test. One
-// generator, so "the demo batch" means the same bytes everywhere.
+// examples/make_requests (writes them as JSONL), the serve smoke test
+// (cmake/RunServeSmoke.cmake) and the serve unit tests. One generator,
+// so "the demo batch" means the same bytes everywhere.
 #pragma once
 
 #include <cstddef>

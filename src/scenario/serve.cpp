@@ -310,7 +310,8 @@ JsonValue serve_summary_to_json(const ServeSummary& summary) {
   // Process-wide metrics snapshot (additive to schema v1): the obs
   // registry's counters/gauges/histograms at dump time. Counters are
   // process totals — in a one-shot `thermosched serve` they equal this
-  // batch's stats exactly (bench_obs cross-checks that).
+  // batch's stats exactly (ObsServe.CountersExactlyMatchSummaryStats
+  // pins that).
   out.set("metrics", obs::MetricsRegistry::instance().to_json());
   return out;
 }

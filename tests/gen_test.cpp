@@ -2,8 +2,8 @@
 // parse/canonical-serialize fixpoint for every emitted line, statistical
 // accuracy of the dup/kind-mix knobs, arrival-order patterns (and a golden
 // pin of the cost estimates they sort by), and exact config-validation
-// messages. These are the contracts docs/GEN.md documents and bench_gen
-// gates on.
+// messages. These are the contracts docs/GEN.md documents; the served
+// side (memo hits == duplicates) is ServeGen.* in scenario_slo_test.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>

@@ -1,8 +1,9 @@
 // Observability through the serve pipeline: tracing and metrics may
 // never change the output bytes — {trace on,off} x {1,4} threads must
 // be byte-identical — and when they record, they record *exactly*: the
-// registry's counters must equal the summary's own stats, and the
-// per-request queue_wait_s must ride the summary JSON additively.
+// registry's counters must equal the summary's own stats (the disk
+// memo's hit counter included), and the per-request queue_wait_s must
+// ride the summary JSON additively.
 #include "scenario/serve.hpp"
 
 #include <gtest/gtest.h>
@@ -10,8 +11,10 @@
 #include <sstream>
 #include <string>
 
+#include "dispatch/disk_result_memo.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "persist_test_util.hpp"
 #include "scenario/demo.hpp"
 #include "util/json.hpp"
 
@@ -29,12 +32,14 @@ std::string duplicated_batch() {
 }
 
 std::string run_serve(const std::string& input, std::size_t threads,
-                      ServeSummary* summary_out = nullptr) {
+                      ServeSummary* summary_out = nullptr,
+                      dispatch::DiskResultMemo* disk_memo = nullptr) {
   std::istringstream in(input);
   std::ostringstream out;
   ScenarioRunner runner;
   ServeOptions options;
   options.threads = threads;
+  options.disk_memo = disk_memo;
   const ServeSummary summary = serve_stream(in, out, runner, options);
   if (summary_out != nullptr) *summary_out = summary;
   return out.str();
@@ -102,6 +107,29 @@ TEST(ObsServe, CountersExactlyMatchSummaryStats) {
             summary.executed);
   EXPECT_EQ(registry.histogram("dispatch.queue_wait_ns").count(),
             summary.executed);
+}
+
+TEST(ObsServe, DiskMemoHitCounterMatchesSummaryDiskHits) {
+  // A cold serve fills the cache directory; a warm re-serve through a
+  // FRESH DiskResultMemo (a restarted process) answers every distinct
+  // request from disk and must bump dispatch.disk_memo.hits by exactly
+  // the summary's disk_hits.
+  const thermo::testing::ScopedTempDir dir("obs-disk-memo");
+  const std::string input = duplicated_batch();
+  std::string cold_bytes;
+  {
+    dispatch::DiskResultMemo cold(dir.path());
+    cold_bytes = run_serve(input, 4, nullptr, &cold);
+  }
+  const obs::Counter& hits =
+      obs::MetricsRegistry::instance().counter("dispatch.disk_memo.hits");
+  const std::uint64_t hits_before = hits.value();
+  dispatch::DiskResultMemo warm(dir.path());
+  ServeSummary summary;
+  EXPECT_EQ(run_serve(input, 4, &summary, &warm), cold_bytes);
+  EXPECT_EQ(summary.executed, 0u);
+  EXPECT_EQ(summary.disk_hits, 20u);  // one disk read per distinct request
+  EXPECT_EQ(hits.value() - hits_before, summary.disk_hits);
 }
 
 TEST(ObsServe, QueueWaitRidesTheSummaryJson) {

@@ -16,7 +16,9 @@
 //
 // The other half of this file is the hard serve invariant extended to
 // the deadlined stream: output bytes and the deadline scoreboard
-// identical across {1,4} threads × {fifo, ljf}.
+// identical across {1,4} threads × {fifo, ljf}. ServeGen.* pins the
+// generator's memo contract: a served gen stream's memo hits equal its
+// generated duplicate count exactly.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -199,6 +201,28 @@ TEST(ServeSlo, SummaryJsonCarriesSloAndCalibrationSections) {
   EXPECT_EQ(json.find("\"calibration\""), std::string::npos);
   EXPECT_NE(json.find("\"done_s\":"), std::string::npos);
   EXPECT_NE(json.find("\"deadline_met\":"), std::string::npos);
+}
+
+TEST(ServeGen, DedupMemoHitsEqualGeneratedDuplicates) {
+  // Fresh gen requests carry unique ids, so the memo (keyed on canonical
+  // request content) can hit only on the generator's verbatim copies:
+  // a hit count above the duplicates means the generator leaked a
+  // collision, one below means the memo key went soft.
+  gen::GenConfig config;
+  config.seed = 42;
+  config.count = 200;
+  config.dup_rate = 0.3;
+  const gen::GeneratedStream stream = gen::generate_stream(config);
+  ASSERT_GT(stream.stats.duplicates, 0u);
+
+  ScenarioRunner runner;
+  ServeOptions options;
+  options.threads = 2;
+  const RunOutput run = run_serve(stream_text(stream), options, runner);
+  EXPECT_EQ(run.summary.requests, config.count);
+  EXPECT_EQ(run.summary.failed, 0u);
+  EXPECT_EQ(run.summary.memo_hits, stream.stats.duplicates);
+  EXPECT_EQ(run.summary.executed, stream.stats.fresh);
 }
 
 }  // namespace
